@@ -10,8 +10,10 @@ signs.  The infinite series is cut at M alias blocks; M is chosen from the
 tail bound and a policy, and the same M is used for the basis series and for
 the interpolation factors so that the two truncate consistently.
 
-Summation runs over ascending m with compensated (Kahan) accumulation across
-chunks, since the terms are not monotone for the sinc-power family.
+:func:`alias_grid` evaluates the factors of every harmonic's truncated series
+in one pass; the spline, its interpolation factors and its sampling all read
+that grid.  :func:`basis_cos` and :func:`basis_sin` sum one harmonic's series
+directly, term by term, and are the reference the grid is tested against.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .factors import FactorFamily, factor_at, factor_values, tail_bound
 # Default fixed summation order for families without a tail bound (r = 0).
 DEFAULT_FIXED_M = 10_000
 
-# Soft cap on elements held per summation chunk.
-_CHUNK_ELEMENTS = 1 << 20
+# Soft cap on the elements of each temporary array.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -114,75 +116,50 @@ def truncation_order(
     return hi
 
 
-def alias_sum(
-    family: FactorFamily,
-    n_nodes: int,
-    k: int,
-    m_count: int,
-    alternating: int,
-    inner_sign: int,
-    t=None,
-    trig=None,
-):
-    """Compensated sum of the alias blocks m = 1..m_count.
+def alias_grid(family: FactorFamily, n_nodes: int, policy: TruncationPolicy) -> np.ndarray:
+    """Factors of every harmonic's truncated series on the grid j = m*N + q.
 
-    Each block contributes ``(-1)^(m*alternating) * [v_{mN+k} * g((mN+k)t)
-    + inner_sign * v_{mN-k} * g((mN-k)t)]`` where g is ``trig`` (np.cos or
-    np.sin).  With ``trig=None`` the trigonometric weights are 1, which is the
-    form the interpolation factors need.  ``t`` may be a scalar or a 1-D
-    array; the result matches its shape.
+    Row m, column q of the returned (M_max + 1) x N array holds v_j with
+    j = m*N + q.  Column k (1 <= k <= (N-1)/2) carries v_k in row 0 and the
+    aliases v_{mN+k} in rows m = 1..M_k; column N-k carries v_{mN-k} in row
+    m - 1.  Entries past a harmonic's own order M_k, and column 0, are zero.
+    Each factor is evaluated once.  The grid is stored column by column, so
+    the aliases of one harmonic are contiguous and their sums run pairwise.
     """
-    if trig is not None:
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        width = t_arr.size
-    else:
-        t_arr = None
-        width = 1
-    total = np.zeros(width)
-    comp = np.zeros(width)
-
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, width))
-    for start in range(1, m_count + 1, chunk):
-        stop = min(start + chunk, m_count + 1)
-        m = np.arange(start, stop)
-        j_plus = m * n_nodes + k
-        j_minus = m * n_nodes - k
-        v_plus = factor_values(family, j_plus)
-        v_minus = factor_values(family, j_minus)
-        if alternating:
-            sgn = np.where(m % 2 == 1, -1.0, 1.0)
-            v_plus = v_plus * sgn
-            v_minus = v_minus * sgn
-        if trig is None:
-            part = np.array([(v_plus + inner_sign * v_minus).sum()])
-        else:
-            terms = v_plus * trig(np.outer(t_arr, j_plus))
-            terms += inner_sign * v_minus * trig(np.outer(t_arr, j_minus))
-            part = terms.sum(axis=1)
-        # Kahan step: fold the chunk's partial sum into the running total.
-        y = part - comp
-        snew = total + y
-        comp = (snew - total) - y
-        total = snew
-
-    if trig is None:
-        return float(total[0])
-    return total
+    _check_harmonic(n_nodes, 1)
+    n = (n_nodes - 1) // 2
+    orders = np.array([truncation_order(family, n_nodes, k, policy) for k in range(1, n + 1)])
+    rows = int(orders.max()) + 1
+    columns = np.zeros((n_nodes, rows))
+    step = max(1, _CHUNK_ELEMENTS // rows)
+    for q in range(1, n_nodes, step):
+        qs = np.arange(q, min(q + step, n_nodes))
+        columns[qs] = factor_values(family, np.add.outer(qs, n_nodes * np.arange(rows)))
+    columns[1 : n + 1, 0] = [factor_at(family, k) for k in range(1, n + 1)]
+    depth = np.concatenate(([0], orders + 1, orders[::-1]))
+    columns[np.arange(rows) >= depth[:, None]] = 0.0
+    return columns.T
 
 
 def _basis(family, signs, i1, n_nodes, k, t, policy, trig, outer, inner):
     _check_harmonic(n_nodes, k)
     if i1 not in (0, 1):
         raise ValueError(f"i1 must be 0 or 1, got {i1!r}")
-    m_count = truncation_order(family, n_nodes, k, policy)
+    m = np.arange(1, truncation_order(family, n_nodes, k, policy) + 1)
+    sign = outer * (1 - 2 * (m * i1 % 2))
+    j = np.concatenate(([k], m * n_nodes + k, m * n_nodes - k))
+    weights = np.concatenate((
+        [factor_at(family, k)],
+        sign * factor_values(family, m * n_nodes + k),
+        sign * inner * factor_values(family, m * n_nodes - k),
+    ))
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    tt = np.atleast_1d(t_arr)
-    v_k = factor_at(family, k)
-    out = v_k * trig(k * tt) + outer * alias_sum(
-        family, n_nodes, k, m_count, alternating=i1, inner_sign=inner, t=tt, trig=trig
-    )
-    return float(out[0]) if scalar else out
+    tt = np.atleast_1d(t_arr).ravel()
+    out = np.empty(tt.size)
+    step = max(1, _CHUNK_ELEMENTS // j.size)
+    for start in range(0, tt.size, step):
+        out[start : start + step] = trig(np.outer(tt[start : start + step], j)) @ weights
+    return float(out[0]) if t_arr.ndim == 0 else out
 
 
 def basis_cos(family, signs, i1: int, n_nodes: int, k: int, t, policy: TruncationPolicy):

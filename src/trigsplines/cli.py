@@ -27,14 +27,14 @@ from .analog import (
     fit_periodic_quadratic,
     max_deviation,
 )
-from .basis import DEFAULT_FIXED_M, TruncationPolicy
+from .basis import DEFAULT_FIXED_M, TruncationPolicy, alias_grid
 from .errors import InvalidGrid, TrigSplineError, TruncationNotConverged
-from .factors import default_alpha, factor_at, sinc_power
+from .factors import default_alpha, sinc_power
 from .grid import GridSpec, nodes
 from .harmonics import SampleSet, dft_coeffs
-from .interp_factors import DEGENERACY_RTOL, factor_sums, interp_factors
+from .interp_factors import degenerate_harmonic, interp_factors, nodal_factors
 from .signs import ELEMENT_NAMES, lookup
-from .spline import SplineSpec, build, evaluate, sample, verify_interpolation
+from .spline import SplineSpec, assemble, build, evaluate, sample, verify_interpolation
 
 # Deviations above this mark a variant whose polynomial analog is not confirmed.
 ANALOG_FINDING_LIMIT = 1e-4
@@ -283,21 +283,15 @@ def cmd_enumerate(args) -> list[dict]:
     for r in args.r:
         family = sinc_power(r, alpha)
         policy = _policy_from_args(args, r)
+        grid = alias_grid(family, n_nodes, policy)  # shared by all 64 variants
         rows = []
-        scale = np.abs(
-            [factor_at(family, k) for k in range(1, (n_nodes - 1) // 2 + 1)]
-        )
         for name in ELEMENT_NAMES:
             signs = lookup(name)
             for i1, i2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                pair = factor_sums(family, signs, i1, i2, n_nodes, policy)
-                degenerate = bool(
-                    (np.abs(pair.hc) <= DEGENERACY_RTOL * scale).any()
-                    or (np.abs(pair.hs) <= DEGENERACY_RTOL * scale).any()
-                )
-                if degenerate:
-                    residual = None
-                else:
+                pair = nodal_factors(grid, signs, i1, i2)
+                degenerate = degenerate_harmonic(family, pair) is not None
+                residual = None
+                if not degenerate:
                     spec = SplineSpec(
                         family=family,
                         signs=signs,
@@ -307,7 +301,8 @@ def cmd_enumerate(args) -> list[dict]:
                         i2=i2,
                         policy=policy,
                     )
-                    residual = verify_interpolation(build(values, spec)).max_residual
+                    model = assemble(values, spec, grid, pair)
+                    residual = verify_interpolation(model).max_residual
                 rows.append(
                     [
                         name,

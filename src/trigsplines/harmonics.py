@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, nodes
+from .grid import GridSpec
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,17 @@ def dft_coeffs(samples: SampleSet) -> HarmonicCoeffs:
 
     a0 = (2/N) sum f_j,  a_k = (2/N) sum f_j cos(k t_j),
     b_k = (2/N) sum f_j sin(k t_j), with t_j the nodes of ``samples.grid``.
-    Direct O(N^2) summation; N stays small here.
+    One real FFT gives sum f_j e^{-2*pi*ijk/N}; the kind-1 grid's half-spacing
+    shift multiplies harmonic k by e^{-ik*pi/N}.
     """
-    t = nodes(samples.grid)
     f = samples.values
     n_nodes = samples.grid.n_nodes
-    n = samples.grid.n_harmonics
+    k = np.arange(1, samples.grid.n_harmonics + 1)
     scale = 2.0 / n_nodes
-    a0 = scale * float(f.sum())
-    k = np.arange(1, n + 1)
-    kt = np.outer(k, t)
-    a = scale * (np.cos(kt) @ f)
-    b = scale * (np.sin(kt) @ f)
-    return HarmonicCoeffs(a0=a0, a=a, b=b)
+    spectrum = np.fft.rfft(f)[k]
+    if samples.grid.kind == 1:
+        spectrum = spectrum * np.exp(-1j * np.pi * k / n_nodes)
+    return HarmonicCoeffs(a0=scale * float(f.sum()), a=scale * spectrum.real, b=-scale * spectrum.imag)
 
 
 def trig_poly_eval(coeffs: HarmonicCoeffs, t):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TruncationPolicy, alias_sum, truncation_order
+from .basis import TruncationPolicy, alias_grid
 from .errors import DegenerateVariant, NoUsableNode
 from .factors import FactorFamily, factor_at
 from .grid import GridSpec, nodes
@@ -53,6 +53,21 @@ class FactorPair:
         object.__setattr__(self, "hs", hs)
 
 
+def nodal_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> FactorPair:
+    """hc/hs of one variant from its :func:`trigsplines.basis.alias_grid`,
+    without the degeneracy gate; (-1)^(mJ) splits each column by row parity."""
+    n = (grid.shape[1] - 1) // 2
+    s = 1 - 2 * ((i1 + i2) % 2)
+    plus = grid[2::2, 1 : n + 1].sum(axis=0) + s * grid[1::2, 1 : n + 1].sum(axis=0)
+    # Column N-k holds v_{mN-k} in row m - 1, so its even rows are odd m.
+    minus = s * grid[0::2, :n:-1].sum(axis=0) + grid[1::2, :n:-1].sum(axis=0)
+    v = grid[0, 1 : n + 1]
+    return FactorPair(
+        hc=v + signs.cos_outer * (plus + signs.cos_inner * minus),
+        hs=v + signs.sin_outer * (plus - signs.sin_inner * minus),
+    )
+
+
 def factor_sums(
     family: FactorFamily,
     signs: SignMatrix,
@@ -65,20 +80,18 @@ def factor_sums(
     need to see the near-zero entries)."""
     if i1 not in (0, 1) or i2 not in (0, 1):
         raise ValueError(f"i1 and i2 must be 0 or 1, got {i1!r}, {i2!r}")
-    alternating = (i1 + i2) % 2
-    n = (n_nodes - 1) // 2
-    hc = np.empty(n)
-    hs = np.empty(n)
-    for k in range(1, n + 1):
-        m_count = truncation_order(family, n_nodes, k, policy)
-        v_k = factor_at(family, k)
-        hc[k - 1] = v_k + signs.cos_outer * alias_sum(
-            family, n_nodes, k, m_count, alternating, inner_sign=signs.cos_inner
-        )
-        hs[k - 1] = v_k + signs.sin_outer * alias_sum(
-            family, n_nodes, k, m_count, alternating, inner_sign=-signs.sin_inner
-        )
-    return FactorPair(hc=hc, hs=hs)
+    return nodal_factors(alias_grid(family, n_nodes, policy), signs, i1, i2)
+
+
+def degenerate_harmonic(family: FactorFamily, pair: FactorPair) -> tuple[int, str] | None:
+    """The first (k, "hc" or "hs") whose factor is numerically zero, i.e. at
+    most ``DEGENERACY_RTOL * |v_k|``; None when every factor is usable."""
+    scale = DEGENERACY_RTOL * np.abs([factor_at(family, k) for k in range(1, len(pair.hc) + 1)])
+    bad = np.column_stack((np.abs(pair.hc) <= scale, np.abs(pair.hs) <= scale))
+    if not bad.any():
+        return None
+    k, side = np.argwhere(bad)[0]
+    return int(k) + 1, ("hc", "hs")[side]
 
 
 def interp_factors(
@@ -98,13 +111,9 @@ def interp_factors(
         variant's spline is undefined at that harmonic.
     """
     pair = factor_sums(family, signs, i1, i2, n_nodes, policy)
-    n = (n_nodes - 1) // 2
-    for k in range(1, n + 1):
-        threshold = DEGENERACY_RTOL * abs(factor_at(family, k))
-        if abs(pair.hc[k - 1]) <= threshold:
-            raise DegenerateVariant(k, "hc")
-        if abs(pair.hs[k - 1]) <= threshold:
-            raise DegenerateVariant(k, "hs")
+    found = degenerate_harmonic(family, pair)
+    if found is not None:
+        raise DegenerateVariant(*found)
     return pair
 
 

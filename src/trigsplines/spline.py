@@ -13,17 +13,22 @@ data at the interpolation nodes regardless of the truncation depth.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TruncationPolicy, basis_cos, basis_sin, truncation_order
-from .factors import FactorFamily, factor_at, factor_values
+from .basis import TruncationPolicy, alias_grid
+from .errors import DegenerateVariant
+from .factors import FactorFamily
 from .grid import GridSpec, nodes
 from .harmonics import HarmonicCoeffs, SampleSet, dft_coeffs
-from .interp_factors import FactorPair, interp_factors
+from .interp_factors import FactorPair, degenerate_harmonic, nodal_factors
 from .signs import SignMatrix
+
+# Soft cap on the complex elements of each evaluate temporary.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,20 @@ class SplineSpec:
 
 @dataclass(frozen=True, eq=False)
 class SplineModel:
-    """A built spline: spec, coefficients, factors, and the source samples."""
+    """A built spline: spec, coefficients, factors, the source samples, and
+    the whole truncated series.
+
+    ``spectrum`` is the complex (M_max + 1) x N grid of the series
+    coefficients c_j, j = m*N + q, laid out like
+    :func:`trigsplines.basis.alias_grid`; the spline is Re sum_j c_j e^{ijt}.
+    It takes 16 bytes per alias term.
+    """
 
     spec: SplineSpec
     coeffs: HarmonicCoeffs
     factors: FactorPair
     source: SampleSet
+    spectrum: np.ndarray
 
     def __call__(self, t):
         return evaluate(self, t)
@@ -76,32 +89,72 @@ class SplineModel:
 def build(values, spec: SplineSpec) -> SplineModel:
     """Construct an evaluable spline from N data values.
 
-    Coefficients are computed on the kind-I2 grid; interpolation factors come
-    from :func:`trigsplines.interp_factors.interp_factors` and construction
-    fails on a degenerate variant.
+    Coefficients are computed on the kind-I2 grid; the factors of every
+    harmonic's series come from one :func:`trigsplines.basis.alias_grid` pass,
+    and construction fails on a degenerate variant.
     """
-    grid = GridSpec(spec.n_nodes, spec.i2)
-    samples = SampleSet(values=np.asarray(values, dtype=float), grid=grid)
+    grid = alias_grid(spec.family, spec.n_nodes, spec.policy)
+    factors = nodal_factors(grid, spec.signs, spec.i1, spec.i2)
+    found = degenerate_harmonic(spec.family, factors)
+    if found is not None:
+        raise DegenerateVariant(*found)
+    return assemble(values, spec, grid, factors)
+
+
+def assemble(values, spec: SplineSpec, grid: np.ndarray, factors: FactorPair) -> SplineModel:
+    """The spline of ``spec`` from its alias grid and its factors
+    ``nodal_factors(grid, spec.signs, spec.i1, spec.i2)``, already checked for
+    degeneracy.  Sweeps over sign elements and grid pairs share one grid,
+    which depends only on the family, N and the policy.
+    """
+    samples = SampleSet(values=np.asarray(values, dtype=float), grid=GridSpec(spec.n_nodes, spec.i2))
     coeffs = dft_coeffs(samples)
-    factors = interp_factors(
-        spec.family, spec.signs, spec.i1, spec.i2, spec.n_nodes, spec.policy
-    )
-    return SplineModel(spec=spec, coeffs=coeffs, factors=factors, source=samples)
+    n, s = spec.n_harmonics, spec.signs
+    w_cos = coeffs.a / factors.hc
+    w_sin = coeffs.b / factors.hs
+    # Re(c e^{ijt}) = x cos(jt) + y sin(jt) for c = x - iy.
+    plus = s.cos_outer * w_cos - 1j * s.sin_outer * w_sin
+    minus = s.cos_outer * s.cos_inner * w_cos - 1j * s.sin_outer * s.sin_inner * w_sin
+    if spec.i1:  # (-1)^m with m = row + 1 in the v_{mN-k} columns
+        minus = -minus
+    spectrum = grid * np.concatenate(([0.0], plus, minus[::-1]))
+    if spec.i1:
+        spectrum[1::2] *= -1.0
+    spectrum[0, 1 : n + 1] = grid[0, 1 : n + 1] * (w_cos - 1j * w_sin)
+    spectrum[0, 0] = coeffs.a0 / 2.0
+    return SplineModel(spec=spec, coeffs=coeffs, factors=factors, source=samples, spectrum=spectrum)
+
+
+def _powers(t: np.ndarray, stride: int, count: int) -> np.ndarray:
+    """e^{i*k*stride*t} for k = 0..count-1, one row per angle of the column
+    ``t``.  With k = a*w + b, w = ceil(sqrt(count)), each entry is the product
+    of two of about 2*sqrt(count) exponentials."""
+    w = math.isqrt(count - 1) + 1
+    coarse = np.exp(1j * (t * (stride * w * np.arange(-(-count // w)))))
+    fine = np.exp(1j * (t * (stride * np.arange(w))))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(t), -1)[:, :count]
 
 
 def evaluate(model: SplineModel, t):
-    """Spline value(s) at arbitrary angle(s) by direct series summation."""
-    spec = model.spec
+    """Spline value(s) at arbitrary angle(s).
+
+    With j = m*N + q the series factorises as
+    Re sum_q e^{iqt} sum_m e^{imNt} c_{mN+q}: one matrix product over the
+    spectrum per batch of points.  Angles are reduced modulo 2*pi first, which
+    leaves those in [0, 2*pi) unchanged.
+    """
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    tt = np.atleast_1d(t_arr)
-    acc = np.full(tt.shape, model.coeffs.a0 / 2.0)
-    for k in range(1, spec.n_harmonics + 1):
-        bc = basis_cos(spec.family, spec.signs, spec.i1, spec.n_nodes, k, tt, spec.policy)
-        bs = basis_sin(spec.family, spec.signs, spec.i1, spec.n_nodes, k, tt, spec.policy)
-        acc += model.coeffs.a[k - 1] * bc / model.factors.hc[k - 1]
-        acc += model.coeffs.b[k - 1] * bs / model.factors.hs[k - 1]
-    return float(acc[0]) if scalar else acc
+    tt = np.mod(np.atleast_1d(t_arr).ravel(), 2.0 * np.pi)
+    rows, n_nodes = model.spectrum.shape
+    out = np.empty(tt.size)
+    step = max(1, _CHUNK_ELEMENTS // (2 * max(rows, n_nodes)))
+    for start in range(0, tt.size, step):
+        ts = tt[start : start + step, None]
+        # einsum rather than matmul: a single-row complex matmul wakes the
+        # BLAS worker threads, which then spin and slow the caller's next work.
+        inner = np.einsum("pm,mq->pq", _powers(ts, n_nodes, rows), model.spectrum)
+        out[start : start + step] = np.einsum("pq,pq->p", inner, _powers(ts, 1, n_nodes)).real
+    return float(out[0]) if t_arr.ndim == 0 else out
 
 
 def sample(model: SplineModel, count: int) -> np.ndarray:
@@ -109,61 +162,24 @@ def sample(model: SplineModel, count: int) -> np.ndarray:
 
     Returns an array of shape (count, 2) whose rows are (t, value).
 
-    On an equispaced output grid the truncated series can be folded exactly:
-    cos(j t_i) depends only on j mod count, so every alias coefficient is
-    accumulated into a residue bucket and the spline reduces to one short
-    trigonometric sum per output point (a direct quadratic-cost transform; no
-    FFT).  The result is the same truncated series as :func:`evaluate`, summed
-    in a different order.
+    On an equispaced output grid the series folds exactly: e^{ij t_i} depends
+    only on j mod count, so every coefficient c_j is added into its residue
+    bucket and one inverse FFT of length ``count`` finishes the sum, in
+    O(M*N + count*log(count)).  The result is the same truncated series as
+    :func:`evaluate`, summed in a different order.
     """
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
-    spec = model.spec
-    n_nodes = spec.n_nodes
-    cos_fold = np.zeros(count)
-    sin_fold = np.zeros(count)
-    cos_fold[0] += model.coeffs.a0 / 2.0
-
-    chunk = 1 << 20
-    for k in range(1, spec.n_harmonics + 1):
-        m_count = truncation_order(spec.family, n_nodes, k, spec.policy)
-        w_cos = model.coeffs.a[k - 1] / model.factors.hc[k - 1]
-        w_sin = model.coeffs.b[k - 1] / model.factors.hs[k - 1]
-        v_k = factor_at(spec.family, k)
-        cos_fold[k % count] += w_cos * v_k
-        sin_fold[k % count] += w_sin * v_k
-        for start in range(1, m_count + 1, chunk):
-            stop = min(start + chunk, m_count + 1)
-            m = np.arange(start, stop)
-            j_plus = m * n_nodes + k
-            j_minus = m * n_nodes - k
-            v_plus = factor_values(spec.family, j_plus)
-            v_minus = factor_values(spec.family, j_minus)
-            if spec.i1:
-                sgn = np.where(m % 2 == 1, -1.0, 1.0)
-                v_plus = v_plus * sgn
-                v_minus = v_minus * sgn
-            q_plus = j_plus % count
-            q_minus = j_minus % count
-            co, ci = spec.signs.cos_outer, spec.signs.cos_inner
-            so, si = spec.signs.sin_outer, spec.signs.sin_inner
-            cos_fold += np.bincount(q_plus, weights=w_cos * co * v_plus, minlength=count)
-            cos_fold += np.bincount(q_minus, weights=w_cos * co * ci * v_minus, minlength=count)
-            sin_fold += np.bincount(q_plus, weights=w_sin * so * v_plus, minlength=count)
-            sin_fold += np.bincount(q_minus, weights=w_sin * so * si * v_minus, minlength=count)
-
-    # Angles reduced with integer arithmetic: cos(2*pi*q*i/count) via a table.
+    rows, n_nodes = model.spectrum.shape
+    folded = np.zeros(count, dtype=complex)
+    step = max(1, _CHUNK_ELEMENTS // rows)
+    for q in range(0, n_nodes, step):
+        qs = np.arange(q, min(q + step, n_nodes))
+        residue = (np.add.outer(qs, n_nodes * np.arange(rows)) % count).ravel()
+        coef = model.spectrum[:, qs].T.ravel()
+        folded += np.bincount(residue, coef.real, count) + 1j * np.bincount(residue, coef.imag, count)
     angles = 2.0 * np.pi * np.arange(count) / count
-    cos_table = np.cos(angles)
-    sin_table = np.sin(angles)
-    q = np.arange(count, dtype=np.int64)
-    values = np.empty(count)
-    rows = max(1, (1 << 22) // count)  # bound the index-matrix working set
-    for start in range(0, count, rows):
-        i = np.arange(start, min(start + rows, count), dtype=np.int64)
-        idx = np.outer(i, q) % count
-        values[start : start + len(i)] = cos_table[idx] @ cos_fold + sin_table[idx] @ sin_fold
-    return np.column_stack((angles, values))
+    return np.column_stack((angles, np.fft.ifft(folded, norm="forward").real))
 
 
 @dataclass(frozen=True)

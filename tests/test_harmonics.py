@@ -108,6 +108,23 @@ def test_linearity_in_data(f, g, lam, mu):
     np.testing.assert_allclose(mix.b, lam * cf.b + mu * cg.b, atol=1e-11 * scale)
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=500).map(lambda m: 2 * m + 1),
+    st.sampled_from([0, 1]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_fft_coeffs_match_direct_sum(n, kind, seed):
+    # The defining O(N^2) sums over the grid nodes.
+    grid = GridSpec(n, kind)
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+    kt = np.outer(np.arange(1, grid.n_harmonics + 1), nodes(grid))
+    c = dft_coeffs(SampleSet(values=values, grid=grid))
+    assert c.a0 == pytest.approx(2.0 / n * values.sum(), abs=1e-12)
+    np.testing.assert_allclose(c.a, 2.0 / n * (np.cos(kt) @ values), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(c.b, 2.0 / n * (np.sin(kt) @ values), rtol=0, atol=1e-12)
+
+
 def test_sample_length_mismatch_rejected():
     with pytest.raises(ValueError):
         SampleSet(values=np.ones(5), grid=GridSpec(9, 0))

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigsplines import (
+    ELEMENT_NAMES,
     GridSpec,
     SplineSpec,
     TruncationPolicy,
     basis_cos,
+    basis_sin,
     build,
     custom_table,
     default_alpha,
@@ -207,3 +209,73 @@ def test_interpolation_property_random_data(seed):
     values = rng.uniform(-10.0, 10.0, size=9)
     model = build(values, make_spec(2, 9, 0, 1))
     assert verify_interpolation(model).max_residual < 1e-7
+
+
+def series_reference(model, t):
+    """a0/2 + sum_k a_k basis_cos_k(t)/hc_k + b_k basis_sin_k(t)/hs_k, each
+    basis series summed directly, term by term."""
+    spec, c, f = model.spec, model.coeffs, model.factors
+    args = (spec.family, spec.signs, spec.i1, spec.n_nodes)
+    out = np.full(len(t), c.a0 / 2.0)
+    for k in range(1, spec.n_harmonics + 1):
+        out += c.a[k - 1] * basis_cos(*args, k, t, spec.policy) / f.hc[k - 1]
+        out += c.b[k - 1] * basis_sin(*args, k, t, spec.policy) / f.hs[k - 1]
+    return out
+
+
+angles = st.lists(
+    st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=6
+).map(np.array)
+
+
+@pytest.mark.parametrize("i1,i2", GRID_PAIRS)
+@pytest.mark.parametrize("element", ELEMENT_NAMES)
+@settings(deadline=None, max_examples=6)
+@given(
+    r=st.sampled_from([1, 2, 3]),
+    alpha_scale=st.sampled_from([1.0, 0.8]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    t=angles,
+)
+def test_evaluate_matches_direct_series(element, i1, i2, r, alpha_scale, seed, t):
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=9)
+    spec = make_spec(r, 9, i1, i2, signs=lookup(element), alpha=alpha_scale * default_alpha(9))
+    model = build(values, spec)
+    np.testing.assert_allclose(evaluate(model, t), series_reference(model, t), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    element=st.sampled_from(ELEMENT_NAMES),
+    pair=st.sampled_from(GRID_PAIRS),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    t=angles,
+)
+def test_custom_table_evaluate_matches_direct_series(element, pair, seed, t):
+    rng = np.random.default_rng(seed)
+    j = np.arange(1, 201)
+    fam = custom_table(rng.uniform(0.5, 1.5, size=j.size) / j**2.0, r=1)
+    spec = SplineSpec(
+        family=fam, signs=lookup(element), r=1, n_nodes=9, i1=pair[0], i2=pair[1],
+        policy=TruncationPolicy(fixed_m=30),
+    )
+    model = build(rng.uniform(-1.0, 1.0, size=9), spec)
+    np.testing.assert_allclose(evaluate(model, t), series_reference(model, t), rtol=0, atol=1e-12)
+
+
+def test_sample_at_65536_points_matches_evaluate(demo_data):
+    model = build(demo_data, make_spec(3, 9, policy=TruncationPolicy()))
+    pts = sample(model, 2**16)
+    probe = np.random.default_rng(11).choice(2**16, size=24, replace=False)
+    np.testing.assert_allclose(pts[probe, 1], evaluate(model, pts[probe, 0]), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.floats(min_value=1e6, max_value=1e12),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_large_angles_reduce_modulo_two_pi(magnitude, sign):
+    model = build(np.random.default_rng(3).uniform(-1.0, 1.0, size=9), make_spec(1, 9, 1, 0))
+    t = sign * magnitude
+    assert evaluate(model, t) == evaluate(model, float(np.mod(t, 2.0 * np.pi)))
