@@ -30,6 +30,9 @@ from .factors import FactorFamily, factor_at, factor_values, tail_bound
 # Default fixed summation order for families without a tail bound (r = 0).
 DEFAULT_FIXED_M = 10_000
 
+# Fewest alias blocks a tolerance-based truncation sums.
+M_MIN = 4
+
 # Soft cap on the elements of each temporary array.
 _CHUNK_ELEMENTS = 1 << 18
 
@@ -39,7 +42,7 @@ class TruncationPolicy:
     """How to cut the alias series.
 
     ``tol`` is the target bound on the discarded absolute tail; summation
-    stops at the smallest m >= ``m_min`` whose tail bound is below it, capped
+    stops at the smallest m >= ``M_MIN`` whose tail bound is below it, capped
     at ``m_max``.  Setting ``fixed_m`` bypasses the tolerance logic entirely
     and sums exactly that many blocks; this is the only supported mode for
     families with no tail bound (r = 0, or custom tables with no declared
@@ -47,7 +50,6 @@ class TruncationPolicy:
     """
 
     tol: float = 1e-10
-    m_min: int = 4
     m_max: int = 20_000
     fixed_m: int | None = None
 
@@ -55,14 +57,13 @@ class TruncationPolicy:
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
         try:
-            object.__setattr__(self, "m_min", operator.index(self.m_min))
             object.__setattr__(self, "m_max", operator.index(self.m_max))
             if self.fixed_m is not None:
                 object.__setattr__(self, "fixed_m", operator.index(self.fixed_m))
         except TypeError:
-            raise ValueError("m_min, m_max, and fixed_m must be integers") from None
-        if not 1 <= self.m_min <= self.m_max:
-            raise ValueError(f"need 1 <= m_min <= m_max, got {self.m_min}, {self.m_max}")
+            raise ValueError("m_max and fixed_m must be integers") from None
+        if self.m_max < M_MIN:
+            raise ValueError(f"m_max must be >= {M_MIN}, got {self.m_max}")
         if self.fixed_m is not None and self.fixed_m < 1:
             raise ValueError(f"fixed_m must be a positive integer, got {self.fixed_m!r}")
 
@@ -94,7 +95,7 @@ def truncation_order(
     if policy.fixed_m is not None:
         return policy.fixed_m
 
-    lo = policy.m_min
+    lo = M_MIN
     b = tail_bound(family, n_nodes, k, lo)
     if math.isinf(b):
         raise TruncationNotConverged(

@@ -81,58 +81,27 @@ def _policy_from_args(args, r: int) -> TruncationPolicy:
     return TruncationPolicy(tol=args.tol, m_max=args.m_max, fixed_m=args.fixed_m)
 
 
-def _spline_spec(args, r: int, n_nodes: int) -> SplineSpec:
-    signs = lookup(args.sign)
-    alpha = args.alpha if args.alpha is not None else default_alpha(n_nodes)
-    family = sinc_power(r, alpha)
-    return SplineSpec(
-        family=family,
-        signs=signs,
-        r=r,
-        n_nodes=n_nodes,
-        i1=args.i1,
-        i2=args.i2,
-        policy=_policy_from_args(args, r),
-    )
-
-
-def _spec_header(spec: SplineSpec) -> tuple[str, dict]:
-    line = (
-        f"# spec: sign={spec.signs.name} r={spec.r} i1={spec.i1} i2={spec.i2} "
-        f"N={spec.n_nodes} alpha={_fmt(spec.family.alpha)}"
-    )
-    mapping = {
-        "sign": spec.signs.name,
-        "r": spec.r,
-        "i1": spec.i1,
-        "i2": spec.i2,
-        "N": spec.n_nodes,
-        "alpha": spec.family.alpha,
-    }
-    return line, mapping
-
-
 def _emit(args, blocks: list[dict]) -> None:
-    """Write blocks as CSV (comment header + data rows) or structurally
-    equivalent JSON."""
+    """Write blocks as CSV or as structurally equivalent JSON.
+
+    A block is ``{"spec": dict, "columns": list, "rows": list}`` with an
+    optional ``"summary": dict``.  In CSV it is a ``# spec: k=v ...`` comment
+    header, the data rows, and one ``# name = value`` trailer per summary
+    entry; in JSON the summary entries are top-level fields.
+    """
     if args.format == "csv":
-        chunks = []
+        lines = []
         for blk in blocks:
-            lines = [blk["header"]]
-            for row in blk["rows"]:
-                lines.append(",".join(_cell(x) for x in row))
-            for extra in blk.get("trailers", []):
-                lines.append(extra)
-            chunks.append("\n".join(lines) + "\n")
-        text = "".join(chunks)
+            lines.append("# spec: " + " ".join(f"{k}={_cell(v)}" for k, v in blk["spec"].items()))
+            lines += [",".join(_cell(x) for x in row) for row in blk["rows"]]
+            lines += [f"# {k} = {_cell(v)}" for k, v in blk.get("summary", {}).items()]
+        text = "\n".join(lines) + "\n"
     else:
-        payload = []
-        for blk in blocks:
-            item = {"spec": blk["spec"], "columns": blk["columns"], "rows": blk["rows"]}
-            item.update(blk.get("extra_json", {}))
-            payload.append(item)
-        out = payload[0] if len(payload) == 1 else payload
-        text = json.dumps(out, indent=2) + "\n"
+        payload = [
+            {"spec": b["spec"], "columns": b["columns"], "rows": b["rows"], **b.get("summary", {})}
+            for b in blocks
+        ]
+        text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
 
     if args.out == "-":
         sys.stdout.write(text)
@@ -150,13 +119,42 @@ def _cell(x) -> str:
     return str(x)
 
 
+def _per_variant(args, block) -> list[dict]:
+    """One block per ``--r``: ``block(values, spec)`` gives its columns, rows
+    and summary, and the variant's spec is attached here."""
+    values = load_values(args.input)
+    n_nodes = len(values)
+    alpha = args.alpha if args.alpha is not None else default_alpha(n_nodes)
+    blocks = []
+    for r in args.r:
+        spec = SplineSpec(
+            family=sinc_power(r, alpha),
+            signs=lookup(args.sign),
+            r=r,
+            n_nodes=n_nodes,
+            i1=args.i1,
+            i2=args.i2,
+            policy=_policy_from_args(args, r),
+        )
+        blk = block(values, spec)
+        blk["spec"] = {
+            "sign": spec.signs.name,
+            "r": spec.r,
+            "i1": spec.i1,
+            "i2": spec.i2,
+            "N": spec.n_nodes,
+            "alpha": spec.family.alpha,
+        }
+        blocks.append(blk)
+    return blocks
+
+
 def cmd_nodes(args) -> list[dict]:
     values = load_values(args.input)
     grid = GridSpec(len(values), args.i2)
     t = nodes(grid)
     return [
         {
-            "header": f"# spec: N={grid.n_nodes} kind={grid.kind}",
             "spec": {"N": grid.n_nodes, "kind": grid.kind},
             "columns": ["j", "t"],
             "rows": [[j + 1, float(t[j])] for j in range(grid.n_nodes)],
@@ -175,7 +173,6 @@ def cmd_coeffs(args) -> list[dict]:
     ]
     return [
         {
-            "header": f"# spec: N={grid.n_nodes} i2={grid.kind}",
             "spec": {"N": grid.n_nodes, "i2": grid.kind},
             "columns": ["k", "a", "b"],
             "rows": rows,
@@ -184,95 +181,48 @@ def cmd_coeffs(args) -> list[dict]:
 
 
 def cmd_factors(args) -> list[dict]:
-    values = load_values(args.input)
-    n_nodes = len(values)
-    blocks = []
-    for r in args.r:
-        spec = _spline_spec(args, r, n_nodes)
-        pair = interp_factors(
-            spec.family, spec.signs, spec.i1, spec.i2, n_nodes, spec.policy
-        )
-        header, mapping = _spec_header(spec)
-        rows = [
-            [k, float(pair.hc[k - 1]), float(pair.hs[k - 1])]
-            for k in range(1, spec.n_harmonics + 1)
-        ]
-        blocks.append(
-            {"header": header, "spec": mapping, "columns": ["k", "hc", "hs"], "rows": rows}
-        )
-    return blocks
+    def block(values, spec):
+        pair = interp_factors(spec.family, spec.signs, spec.i1, spec.i2, spec.n_nodes, spec.policy)
+        rows = [[k, float(hc), float(hs)] for k, (hc, hs) in enumerate(zip(pair.hc, pair.hs), 1)]
+        return {"columns": ["k", "hc", "hs"], "rows": rows}
+
+    return _per_variant(args, block)
 
 
 def cmd_build_eval(args) -> list[dict]:
-    values = load_values(args.input)
     at = [float(x) for x in args.at.split(",") if x.strip()]
     if not at:
         raise ValueError("--at needs at least one angle")
-    blocks = []
-    for r in args.r:
-        spec = _spline_spec(args, r, len(values))
-        model = build(values, spec)
-        out = evaluate(model, np.asarray(at))
-        header, mapping = _spec_header(spec)
-        blocks.append(
-            {
-                "header": header,
-                "spec": mapping,
-                "columns": ["t", "value"],
-                "rows": [[t, float(v)] for t, v in zip(at, out)],
-            }
-        )
-    return blocks
+
+    def block(values, spec):
+        out = evaluate(build(values, spec), np.asarray(at))
+        return {"columns": ["t", "value"], "rows": [[t, float(v)] for t, v in zip(at, out)]}
+
+    return _per_variant(args, block)
 
 
 def cmd_sample(args) -> list[dict]:
-    values = load_values(args.input)
-    blocks = []
-    for r in args.r:
-        spec = _spline_spec(args, r, len(values))
-        model = build(values, spec)
-        pts = sample(model, args.samples)
-        header, mapping = _spec_header(spec)
-        blocks.append(
-            {
-                "header": header,
-                "spec": mapping,
-                "columns": ["t", "value"],
-                "rows": [[float(t), float(v)] for t, v in pts],
-            }
-        )
-    return blocks
+    def block(values, spec):
+        pts = sample(build(values, spec), args.samples)
+        return {"columns": ["t", "value"], "rows": [[float(t), float(v)] for t, v in pts]}
+
+    return _per_variant(args, block)
 
 
 def cmd_verify(args) -> list[dict]:
-    values = load_values(args.input)
-    blocks = []
-    for r in args.r:
-        spec = _spline_spec(args, r, len(values))
-        model = build(values, spec)
-        report = verify_interpolation(model)
-        header, mapping = _spec_header(spec)
+    def block(values, spec):
+        report = verify_interpolation(build(values, spec))
         rows = [
-            [
-                j + 1,
-                float(report.node_angles[j]),
-                float(values[j]),
-                float(values[j] + report.residuals[j]),
-                float(report.residuals[j]),
-            ]
-            for j in range(len(values))
+            [j, float(t), float(f), float(f + e), float(e)]
+            for j, (t, f, e) in enumerate(zip(report.node_angles, values, report.residuals), 1)
         ]
-        blocks.append(
-            {
-                "header": header,
-                "spec": mapping,
-                "columns": ["j", "t", "data", "value", "residual"],
-                "rows": rows,
-                "trailers": [f"# max_residual = {_fmt(report.max_residual)}"],
-                "extra_json": {"max_residual": report.max_residual},
-            }
-        )
-    return blocks
+        return {
+            "columns": ["j", "t", "data", "value", "residual"],
+            "rows": rows,
+            "summary": {"max_residual": report.max_residual},
+        }
+
+    return _per_variant(args, block)
 
 
 def cmd_enumerate(args) -> list[dict]:
@@ -316,7 +266,6 @@ def cmd_enumerate(args) -> list[dict]:
                 )
         blocks.append(
             {
-                "header": f"# spec: r={r} N={n_nodes} alpha={_fmt(alpha)}",
                 "spec": {"r": r, "N": n_nodes, "alpha": alpha},
                 "columns": [
                     "sign",
@@ -334,35 +283,25 @@ def cmd_enumerate(args) -> list[dict]:
 
 
 def cmd_compare_analog(args) -> list[dict]:
-    values = load_values(args.input)
-    n_nodes = len(values)
-    blocks = []
-    for r in args.r:
-        if r == 1:
-            analog = fit_broken_line(values, GridSpec(n_nodes, args.i2))
-            kind = "broken-line"
-        elif r == 3:
-            analog = fit_periodic_cubic(values, GridSpec(n_nodes, args.i2))
-            kind = "cubic"
-        elif r == 2:
-            analog = fit_periodic_quadratic(values, GridSpec(n_nodes, 1))
-            kind = "quadratic"
-        else:
-            raise ValueError(f"no polynomial analog oracle for r={r}; supported: 1, 2, 3")
-        spec = _spline_spec(args, r, n_nodes)
-        model = build(values, spec)
-        dev = max_deviation(model, analog, args.samples)
+    def block(values, spec):
+        # r -> oracle name, its fit, and the grid kind of the data it fits
+        analogs = {
+            1: ("broken-line", fit_broken_line, spec.i2),
+            2: ("quadratic", fit_periodic_quadratic, 1),
+            3: ("cubic", fit_periodic_cubic, spec.i2),
+        }
+        if spec.r not in analogs:
+            raise ValueError(f"no polynomial analog oracle for r={spec.r}; supported: 1, 2, 3")
+        kind, fit, grid_kind = analogs[spec.r]
+        analog = fit(values, GridSpec(spec.n_nodes, grid_kind))
+        dev = max_deviation(build(values, spec), analog, args.samples)
         note = "analog-mismatch-finding" if dev > ANALOG_FINDING_LIMIT else ""
-        header, mapping = _spec_header(spec)
-        blocks.append(
-            {
-                "header": header,
-                "spec": mapping,
-                "columns": ["r", "analog", "samples", "max_deviation", "note"],
-                "rows": [[r, kind, args.samples, dev, note]],
-            }
-        )
-    return blocks
+        return {
+            "columns": ["r", "analog", "samples", "max_deviation", "note"],
+            "rows": [[spec.r, kind, args.samples, dev, note]],
+        }
+
+    return _per_variant(args, block)
 
 
 _COMMANDS = {

@@ -51,6 +51,8 @@ class FactorFamily:
         if self.kind == SINC_POWER:
             if self.alpha is None or not self.alpha > 0:
                 raise ValueError(f"sinc-power family needs alpha > 0, got {self.alpha!r}")
+            if not math.isfinite(self.alpha):
+                raise ValueError(f"sinc-power family needs a finite alpha, got {self.alpha!r}")
             if self.table is not None:
                 raise ValueError("sinc-power family takes no table")
         else:

@@ -28,6 +28,9 @@ class SampleSet:
             raise ValueError(
                 f"need exactly {self.grid.n_nodes} values for this grid, got shape {vals.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(f"data values must be finite, got {vals[bad[0]]} at index {bad[0]}")
         object.__setattr__(self, "values", vals)
 
 

@@ -45,10 +45,14 @@ class SplineSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n_nodes", GridSpec(self.n_nodes, 0).n_nodes)
-        if self.i1 not in (0, 1) or self.i2 not in (0, 1):
+        try:
+            i1, i2 = operator.index(self.i1), operator.index(self.i2)
+        except TypeError:
+            i1 = i2 = None
+        if i1 not in (0, 1) or i2 not in (0, 1):
             raise ValueError(f"i1 and i2 must be 0 or 1, got {self.i1!r}, {self.i2!r}")
-        object.__setattr__(self, "i1", operator.index(self.i1))
-        object.__setattr__(self, "i2", operator.index(self.i2))
+        object.__setattr__(self, "i1", i1)
+        object.__setattr__(self, "i2", i2)
         try:
             object.__setattr__(self, "r", operator.index(self.r))
         except TypeError:

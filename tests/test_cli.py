@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -214,3 +215,87 @@ def test_unsupported_analog_r(capsys, data_file):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "sample", "/nonexistent/file.json")
     assert code == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_alpha_rejected_with_one_line(capsys, data_file):
+    code, out, err = run(capsys, "verify", data_file, "--alpha", "inf")
+    assert code == 1 and out == ""
+    assert err.startswith("ValueError:") and "alpha" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["coeffs", "verify"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_data_rejected_with_one_line(tmp_path, capsys, command, bad):
+    path = tmp_path / "bad.json"
+    path.write_text('{"values": [1, 2, %s, 4, 5]}' % bad)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("ValueError:") and "finite" in err
+    assert err.count("\n") == 1
+
+
+def test_m_max_below_minimum_names_m_max(capsys, data_file):
+    code, _, err = run(capsys, "verify", data_file, "--m-max", "3")
+    assert code == 1
+    assert err.startswith("ValueError:") and "m_max" in err and "m_min" not in err
+
+
+def _same_cell(text, value):
+    """A CSV cell and the JSON value it mirrors."""
+    if value is None:
+        return text == ""
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, float):
+        return float(text) == value or (math.isnan(value) and text == "nan")
+    return text == str(value)
+
+
+def _csv_blocks(text):
+    """CSV output split into blocks of header fields, rows and trailers."""
+    blocks = []
+    for line in text.splitlines():
+        if line.startswith("# spec: "):
+            fields = [field.split("=", 1) for field in line[len("# spec: "):].split(" ")]
+            blocks.append({"spec": fields, "rows": [], "trailers": []})
+        elif line.startswith("# "):
+            name, value = line[2:].split(" = ")
+            blocks[-1]["trailers"].append((name, value))
+        else:
+            assert not blocks[-1]["trailers"], "data row after a trailer"
+            blocks[-1]["rows"].append(line.split(","))
+    return blocks
+
+
+@pytest.mark.parametrize("argv", [
+    ["nodes", "--i2", "1"],
+    ["coeffs", "--i2", "1"],
+    ["factors", "--r", "2", "--r", "3", "--alpha", "0.5"],
+    ["build-eval", "--r", "3", "--at", "0.5,2.25"],
+    ["sample", "--r", "1", "--r", "3", "--samples", "8", "--m-max", "300"],
+    ["verify", "--r", "2", "--r", "3", "--sign", "C1", "--i1", "1", "--i2", "1"],
+    ["enumerate", "--r", "1", "--m-max", "300"],
+    ["compare-analog", "--r", "1", "--r", "3", "--samples", "64", "--m-max", "300"],
+], ids=lambda argv: argv[0])
+def test_csv_blocks_mirror_json(capsys, data_file, argv):
+    command, *flags = argv
+    code, csv_out, _ = run(capsys, command, data_file, *flags)
+    assert code == 0
+    code, json_out, _ = run(capsys, command, data_file, *flags, "--format", "json")
+    assert code == 0
+    doc = json.loads(json_out)
+    docs = doc if isinstance(doc, list) else [doc]
+    blocks = _csv_blocks(csv_out)
+    assert len(blocks) == len(docs) == max(1, flags.count("--r"))
+    for blk, doc in zip(blocks, docs):
+        assert [name for name, _ in blk["spec"]] == list(doc["spec"])
+        assert all(_same_cell(text, doc["spec"][name]) for name, text in blk["spec"])
+        assert len(blk["rows"]) == len(doc["rows"])
+        for row, json_row in zip(blk["rows"], doc["rows"]):
+            assert len(row) == len(json_row) == len(doc["columns"])
+            assert all(_same_cell(text, value) for text, value in zip(row, json_row))
+        summary = {k: v for k, v in doc.items() if k not in ("spec", "columns", "rows")}
+        assert [name for name, _ in blk["trailers"]] == list(summary)
+        assert all(_same_cell(text, summary[name]) for name, text in blk["trailers"])

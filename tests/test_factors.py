@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trigsplines import (
     IndexOutOfTable,
@@ -139,3 +141,12 @@ def test_family_validation():
         custom_table([], r=1)
     with pytest.raises(ValueError):
         custom_table([1.0], r=1, decay_exponent=0.5)
+
+
+@given(
+    st.one_of(st.floats(max_value=0.0), st.just(math.inf), st.just(math.nan)),
+    st.integers(min_value=0, max_value=5),
+)
+def test_non_finite_or_non_positive_alpha_rejected(alpha, r):
+    with pytest.raises(ValueError, match="alpha"):
+        sinc_power(r, alpha)

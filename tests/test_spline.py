@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,32 @@ def test_constant_data_reproduces_constant():
 def test_wrong_data_length_rejected(demo_data):
     with pytest.raises(ValueError):
         build(demo_data[:-2], make_spec(1, 9))
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", 2])
+@pytest.mark.parametrize("index", ["i1", "i2"])
+def test_grid_index_must_be_0_or_1(index, bad):
+    grid_indices = {"i1": 0, "i2": 0, index: bad}
+    with pytest.raises(ValueError, match="i1 and i2"):
+        SplineSpec(family=sinc_power(2, default_alpha(9)), signs=A1, r=2, n_nodes=9, **grid_indices)
+
+
+def test_grid_indices_stored_as_plain_ints():
+    spec = make_spec(2, 9, i1=np.int64(1), i2=True)
+    assert (spec.i1, spec.i2) == (1, 1)
+    assert type(spec.i1) is int and type(spec.i2) is int
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=9, max_size=9),
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_non_finite_data_rejected(values, index, bad):
+    values[index] = bad
+    with pytest.raises(ValueError, match="finite"):
+        build(values, make_spec(2, 9))
 
 
 def test_family_spec_smoothness_must_agree():
