@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,11 @@ from .analog import (
     max_deviation,
 )
 from .basis import DEFAULT_FIXED_M, TruncationPolicy, alias_grid
-from .errors import InvalidGrid, TrigSplineError, TruncationNotConverged
+from .errors import DegenerateVariant, InvalidGrid, TrigSplineError, TruncationNotConverged
 from .factors import default_alpha, sinc_power
 from .grid import GridSpec, nodes
 from .harmonics import SampleSet, dft_coeffs
-from .interp_factors import degenerate_harmonic, interp_factors, nodal_factors
+from .interp_factors import interp_factors, nodal_factors
 from .signs import ELEMENT_NAMES, lookup
 from .spline import SplineSpec, assemble, build, evaluate, sample, verify_interpolation
 
@@ -73,6 +74,8 @@ def load_values(path: str) -> np.ndarray:
 
 
 def _policy_from_args(args, r: int) -> TruncationPolicy:
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
     if r == 0 and args.fixed_m is None:
         raise TruncationNotConverged(
             "r = 0 has no tolerance-based truncation; pass --fixed-m "
@@ -119,23 +122,27 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _per_variant(args, block) -> list[dict]:
-    """One block per ``--r``: ``block(values, spec)`` gives its columns, rows
-    and summary, and the variant's spec is attached here."""
+def _specs(args, signs, i1: int, i2: int) -> tuple[np.ndarray, list[SplineSpec]]:
+    """The data and one spline spec per ``--r`` (default 1); every ``--r``
+    and its policy are checked before the file is read."""
+    policies = [(r, _policy_from_args(args, r)) for r in args.r or [1]]
     values = load_values(args.input)
     n_nodes = len(values)
     alpha = args.alpha if args.alpha is not None else default_alpha(n_nodes)
+    specs = [
+        SplineSpec(family=sinc_power(r, alpha), signs=signs, r=r, n_nodes=n_nodes, i1=i1, i2=i2,
+                   policy=policy)
+        for r, policy in policies
+    ]
+    return values, specs
+
+
+def _per_variant(args, block) -> list[dict]:
+    """One block per ``--r``: ``block(values, spec)`` gives its columns, rows
+    and summary, and the variant's spec is attached here."""
+    values, specs = _specs(args, lookup(args.sign), args.i1, args.i2)
     blocks = []
-    for r in args.r:
-        spec = SplineSpec(
-            family=sinc_power(r, alpha),
-            signs=lookup(args.sign),
-            r=r,
-            n_nodes=n_nodes,
-            i1=args.i1,
-            i2=args.i2,
-            policy=_policy_from_args(args, r),
-        )
+    for spec in specs:
         blk = block(values, spec)
         blk["spec"] = {
             "sign": spec.signs.name,
@@ -226,33 +233,20 @@ def cmd_verify(args) -> list[dict]:
 
 
 def cmd_enumerate(args) -> list[dict]:
-    values = load_values(args.input)
-    n_nodes = len(values)
-    alpha = args.alpha if args.alpha is not None else default_alpha(n_nodes)
+    values, specs = _specs(args, lookup(ELEMENT_NAMES[0]), 0, 0)
     blocks = []
-    for r in args.r:
-        family = sinc_power(r, alpha)
-        policy = _policy_from_args(args, r)
-        grid = alias_grid(family, n_nodes, policy)  # shared by all 64 variants
+    for base in specs:
+        grid = alias_grid(base.family, base.n_nodes, base.policy)  # shared by all 64 variants
         rows = []
         for name in ELEMENT_NAMES:
-            signs = lookup(name)
             for i1, i2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                pair = nodal_factors(grid, signs, i1, i2)
-                degenerate = degenerate_harmonic(family, pair) is not None
-                residual = None
-                if not degenerate:
-                    spec = SplineSpec(
-                        family=family,
-                        signs=signs,
-                        r=r,
-                        n_nodes=n_nodes,
-                        i1=i1,
-                        i2=i2,
-                        policy=policy,
-                    )
-                    model = assemble(values, spec, grid, pair)
-                    residual = verify_interpolation(model).max_residual
+                spec = replace(base, signs=lookup(name), i1=i1, i2=i2)
+                try:
+                    model = assemble(values, spec, grid)
+                except DegenerateVariant:
+                    pair, residual = nodal_factors(grid, spec.signs, i1, i2), None
+                else:
+                    pair, residual = model.factors, verify_interpolation(model).max_residual
                 rows.append(
                     [
                         name,
@@ -260,13 +254,13 @@ def cmd_enumerate(args) -> list[dict]:
                         i2,
                         float(np.abs(pair.hc).min()),
                         float(np.abs(pair.hs).min()),
-                        degenerate,
+                        residual is None,
                         residual,
                     ]
                 )
         blocks.append(
             {
-                "spec": {"r": r, "N": n_nodes, "alpha": alpha},
+                "spec": {"r": base.r, "N": base.n_nodes, "alpha": base.family.alpha},
                 "columns": [
                     "sign",
                     "i1",
@@ -304,18 +298,6 @@ def cmd_compare_analog(args) -> list[dict]:
     return _per_variant(args, block)
 
 
-_COMMANDS = {
-    "nodes": cmd_nodes,
-    "coeffs": cmd_coeffs,
-    "factors": cmd_factors,
-    "build-eval": cmd_build_eval,
-    "sample": cmd_sample,
-    "verify": cmd_verify,
-    "enumerate": cmd_enumerate,
-    "compare-analog": cmd_compare_analog,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigsplines",
@@ -327,16 +309,17 @@ def _build_parser() -> argparse.ArgumentParser:
     io_parent.add_argument("input", help="data file: JSON {\"values\": [...]} or one value per line")
     io_parent.add_argument("--format", choices=("csv", "json"), default="csv")
     io_parent.add_argument("--out", default="-", help="output path (default: stdout)")
-    io_parent.add_argument("--i2", type=int, choices=(0, 1), default=0,
-                           help="interpolation grid kind")
+    grid_parent = argparse.ArgumentParser(add_help=False, parents=[io_parent])
+    grid_parent.add_argument("--i2", type=int, choices=(0, 1), default=0,
+                             help="interpolation grid kind")
 
     series_parent = argparse.ArgumentParser(add_help=False)
     series_parent.add_argument("--r", action="append", type=int, default=None,
                                help="smoothness parameter; repeat for several runs")
     series_parent.add_argument("--alpha", type=float, default=None,
                                help="factor width (default: 2*pi/N)")
-    series_parent.add_argument("--tol", type=float, default=1e-10)
-    series_parent.add_argument("--m-max", type=int, default=20_000)
+    series_parent.add_argument("--tol", type=float, default=TruncationPolicy.tol)
+    series_parent.add_argument("--m-max", type=int, default=TruncationPolicy.m_max)
     series_parent.add_argument("--fixed-m", type=int, nargs="?", const=DEFAULT_FIXED_M,
                                default=None,
                                help="fixed summation order (required when r=0; "
@@ -346,43 +329,34 @@ def _build_parser() -> argparse.ArgumentParser:
     spline_parent.add_argument("--sign", default="A1", help="sign element A1..D4")
     spline_parent.add_argument("--i1", type=int, choices=(0, 1), default=0,
                                help="crosslink grid kind")
+    variant = [grid_parent, series_parent, spline_parent]
 
-    sub.add_parser("nodes", parents=[io_parent], help="emit grid node angles")
-    sub.add_parser("coeffs", parents=[io_parent], help="emit harmonic coefficients")
-    sub.add_parser("factors", parents=[io_parent, series_parent, spline_parent],
-                   help="emit interpolation factors hc, hs")
-    p = sub.add_parser("build-eval", parents=[io_parent, series_parent, spline_parent],
-                       help="build a spline and evaluate at given angles")
+    def command(name, handler, parents, text):
+        # The handler is looked up on each call, so a rebound cmd_* is used.
+        p = sub.add_parser(name, parents=parents, help=text)
+        p.set_defaults(handler=handler)
+        return p
+
+    command("nodes", cmd_nodes, [grid_parent], "emit grid node angles")
+    command("coeffs", cmd_coeffs, [grid_parent], "emit harmonic coefficients")
+    command("factors", cmd_factors, variant, "emit interpolation factors hc, hs")
+    p = command("build-eval", cmd_build_eval, variant, "build a spline and evaluate at given angles")
     p.add_argument("--at", required=True, help="comma-separated angles")
-    p = sub.add_parser("sample", parents=[io_parent, series_parent, spline_parent],
-                       help="sample a spline on an equispaced grid")
+    p = command("sample", cmd_sample, variant, "sample a spline on an equispaced grid")
     p.add_argument("--samples", type=int, default=512)
-    sub.add_parser("verify", parents=[io_parent, series_parent, spline_parent],
-                   help="report nodal interpolation residuals")
-    sub.add_parser("enumerate", parents=[io_parent, series_parent],
-                   help="classification feasibility table over all 16 elements x 4 grid pairs")
-    p = sub.add_parser("compare-analog", parents=[io_parent, series_parent, spline_parent],
-                       help="max deviation from the polynomial-spline oracle")
+    command("verify", cmd_verify, variant, "report nodal interpolation residuals")
+    command("enumerate", cmd_enumerate, [io_parent, series_parent],
+            "classification feasibility table over all 16 elements x 4 grid pairs")
+    p = command("compare-analog", cmd_compare_analog, variant,
+                "max deviation from the polynomial-spline oracle")
     p.add_argument("--samples", type=int, default=2048)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "r") and args.r is None:
-        args.r = [1]
+    args = _build_parser().parse_args(argv)
     try:
-        # Flag validation happens before any file is read.
-        if hasattr(args, "sign"):
-            lookup(args.sign)
-        if hasattr(args, "r"):
-            for r in args.r:
-                if r < 0:
-                    raise ValueError(f"r must be >= 0, got {r}")
-                _policy_from_args(args, r)
-        blocks = _COMMANDS[args.command](args)
-        _emit(args, blocks)
+        _emit(args, args.handler(args))
     except (TrigSplineError, ValueError, OSError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1

@@ -53,12 +53,6 @@ class SplineSpec:
             raise ValueError(f"i1 and i2 must be 0 or 1, got {self.i1!r}, {self.i2!r}")
         object.__setattr__(self, "i1", i1)
         object.__setattr__(self, "i2", i2)
-        try:
-            object.__setattr__(self, "r", operator.index(self.r))
-        except TypeError:
-            raise ValueError(f"r must be an integer >= 0, got {self.r!r}") from None
-        if self.r < 0:
-            raise ValueError(f"r must be an integer >= 0, got {self.r!r}")
         if self.r != self.family.r:
             raise ValueError(
                 f"spec smoothness r={self.r} disagrees with the family's r={self.family.r}"
@@ -91,26 +85,25 @@ class SplineModel:
 
 
 def build(values, spec: SplineSpec) -> SplineModel:
-    """Construct an evaluable spline from N data values.
+    """Construct an evaluable spline from N data values over a fresh
+    :func:`trigsplines.basis.alias_grid`; see :func:`assemble`."""
+    return assemble(values, spec, alias_grid(spec.family, spec.n_nodes, spec.policy))
 
-    Coefficients are computed on the kind-I2 grid; the factors of every
-    harmonic's series come from one :func:`trigsplines.basis.alias_grid` pass,
-    and construction fails on a degenerate variant.
+
+def assemble(values, spec: SplineSpec, grid: np.ndarray) -> SplineModel:
+    """The spline of ``spec`` from its alias grid, which depends only on the
+    family, N and the policy, so sweeps over sign elements and grid pairs
+    share one.  Coefficients are computed on the kind-I2 grid.
+
+    Raises
+    ------
+    DegenerateVariant
+        If an interpolation factor of the variant is numerically zero.
     """
-    grid = alias_grid(spec.family, spec.n_nodes, spec.policy)
     factors = nodal_factors(grid, spec.signs, spec.i1, spec.i2)
     found = degenerate_harmonic(spec.family, factors)
     if found is not None:
         raise DegenerateVariant(*found)
-    return assemble(values, spec, grid, factors)
-
-
-def assemble(values, spec: SplineSpec, grid: np.ndarray, factors: FactorPair) -> SplineModel:
-    """The spline of ``spec`` from its alias grid and its factors
-    ``nodal_factors(grid, spec.signs, spec.i1, spec.i2)``, already checked for
-    degeneracy.  Sweeps over sign elements and grid pairs share one grid,
-    which depends only on the family, N and the policy.
-    """
     samples = SampleSet(values=np.asarray(values, dtype=float), grid=GridSpec(spec.n_nodes, spec.i2))
     coeffs = dft_coeffs(samples)
     n, s = spec.n_harmonics, spec.signs
@@ -145,10 +138,15 @@ def evaluate(model: SplineModel, t):
     With j = m*N + q the series factorises as
     Re sum_q e^{iqt} sum_m e^{imNt} c_{mN+q}: one matrix product over the
     spectrum per batch of points.  Angles are reduced modulo 2*pi first, which
-    leaves those in [0, 2*pi) unchanged.
+    leaves those in [0, 2*pi) unchanged; a NaN or infinite angle raises
+    ``ValueError``.
     """
     t_arr = np.asarray(t, dtype=float)
-    tt = np.mod(np.atleast_1d(t_arr).ravel(), 2.0 * np.pi)
+    tt = np.atleast_1d(t_arr).ravel()
+    bad = np.flatnonzero(~np.isfinite(tt))
+    if bad.size:
+        raise ValueError(f"angles must be finite, got {tt[bad[0]]} at index {bad[0]}")
+    tt = np.mod(tt, 2.0 * np.pi)
     rows, n_nodes = model.spectrum.shape
     out = np.empty(tt.size)
     step = max(1, _CHUNK_ELEMENTS // (2 * max(rows, n_nodes)))

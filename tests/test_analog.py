@@ -224,6 +224,29 @@ class TestMatchedGridEquivalences:
         assert max_deviation(model, cubic, 1024) < 1e-5
 
 
+    @pytest.mark.parametrize("n_nodes", [5, 9, 21])
+    def test_r2_kind1_equals_periodic_quadratic(self, demo_data, n_nodes):
+        # Kind-1 data, knots on the kind-0 grid.  The deviation grows with N
+        # (2e-11 at N=5, 4e-10 at N=9, 3e-8 at N=21) because the absolute
+        # tail tolerance is fixed while v_k shrinks like (pi/N)^3.
+        values = (
+            demo_data if n_nodes == 9
+            else np.random.default_rng(n_nodes).uniform(-1.0, 1.0, n_nodes)
+        )
+        spec = SplineSpec(
+            family=sinc_power(2, default_alpha(n_nodes)),
+            signs=lookup("A1"),
+            r=2,
+            n_nodes=n_nodes,
+            i1=1,
+            i2=1,
+            policy=TruncationPolicy(),
+        )
+        model = build(values, spec)
+        quad = fit_periodic_quadratic(values, GridSpec(n_nodes, 1))
+        assert max_deviation(model, quad, 2048) < 1e-7
+
+
 def test_quadratic_vs_r2_spline_is_a_reported_finding(demo_data):
     # The prescribed even-degree comparison: quadratic stitched at kind-0
     # knots vs the r=2 mismatched-grid spline.  Empirically these disagree by

@@ -4,6 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from trigsplines import (
+    DegenerateVariant,
+    TruncationPolicy,
+    factor_sums,
+    interp_factors,
+    lookup,
+    sinc_power,
+)
 from trigsplines.cli import main
 
 DEMO = [3, 1, 3, 2, 4, 1, 3, 1, 2]
@@ -234,6 +242,58 @@ def test_non_finite_data_rejected_with_one_line(tmp_path, capsys, command, bad):
     assert code == 1 and out == ""
     assert err.startswith("ValueError:") and "finite" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_angle_rejected_with_one_line(capsys, data_file):
+    code, out, err = run(capsys, "build-eval", data_file, "--r", "3", "--at", "0.5,nan,inf")
+    assert code == 1 and out == ""
+    assert err == "ValueError: angles must be finite, got nan at index 1\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--sign", "Z1"], "UnknownElement:"),
+    (["verify", "--r", "-2"], "ValueError: r must be >= 0"),
+    (["verify", "--r", "0"], "TruncationNotConverged:"),
+    (["enumerate", "--r", "-1"], "ValueError: r must be >= 0"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_flag_errors_come_before_reading_the_file(tmp_path, capsys, argv, error):
+    command, *flags = argv
+    code, out, err = run(capsys, command, str(tmp_path / "missing.json"), *flags)
+    assert code == 1 and out == ""
+    assert err.startswith(error) and err.count("\n") == 1
+
+
+def test_enumerate_has_no_i2(capsys, data_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", data_file, "--r", "3", "--i2", "0"])
+    assert exc.value.code == 2
+    assert "--i2" in capsys.readouterr().err
+
+
+def test_enumerate_matches_library_gate(tmp_path, capsys):
+    # At this width and depth some variants of N=3, r=3 are degenerate.
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"values": [1.0, -0.5, 2.0]}))
+    alpha = 0.30000000000000004
+    code, out, _ = run(capsys, "enumerate", str(path), "--r", "3", "--m-max", "300",
+                       "--alpha", repr(alpha))
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    policy = TruncationPolicy(m_max=300)
+    family = sinc_power(3, alpha)
+    for name, i1, i2, min_hc, min_hs, degenerate, residual in rows:
+        args = (family, lookup(name), int(i1), int(i2), 3, policy)
+        pair = factor_sums(*args)
+        assert float(min_hc) == np.abs(pair.hc).min()
+        assert float(min_hs) == np.abs(pair.hs).min()
+        try:
+            interp_factors(*args)
+        except DegenerateVariant:
+            assert degenerate == "true" and residual == ""
+        else:
+            assert degenerate == "false" and float(residual) < 1e-12
+    assert {row[5] for row in rows} == {"true", "false"}
 
 
 def test_m_max_below_minimum_names_m_max(capsys, data_file):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from trigsplines import (
     ELEMENT_NAMES,
+    DegenerateVariant,
     GridSpec,
     SplineSpec,
     TruncationPolicy,
@@ -78,6 +79,34 @@ def test_non_finite_data_rejected(values, index, bad):
     values[index] = bad
     with pytest.raises(ValueError, match="finite"):
         build(values, make_spec(2, 9))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=6),
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_non_finite_angles_rejected(angles, index, bad):
+    index = min(index, len(angles))
+    angles.insert(index, bad)
+    model = build(np.arange(9.0), make_spec(3, 9))
+    with pytest.raises(ValueError, match=f"angles must be finite, got .* at index {index}$"):
+        evaluate(model, np.array(angles))
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(model, bad)
+
+
+def test_degenerate_variant_does_not_build():
+    # v_2 + v_4 = 1, which the B1 cosine row subtracts exactly (k = 1).
+    spec = SplineSpec(
+        family=custom_table([1.0, 1.0, 0.0, 0.0], r=1), signs=lookup("B1"), r=1, n_nodes=3,
+        i1=0, i2=0, policy=TruncationPolicy(fixed_m=3),
+    )
+    with pytest.raises(DegenerateVariant) as err:
+        build([1.0, 2.0, 3.0], spec)
+    assert (err.value.k, err.value.which) == (1, "hc")
 
 
 def test_family_spec_smoothness_must_agree():
