@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGrid, TruncationNotConverged
-from .factors import FactorFamily, factor_at, factor_values, tail_bound
+from .factors import FactorFamily, factor_values, tail_bound
 
 # Default fixed summation order for families without a tail bound (r = 0).
 DEFAULT_FIXED_M = 10_000
@@ -45,8 +45,7 @@ class TruncationPolicy:
     stops at the smallest m >= ``M_MIN`` whose tail bound is below it, capped
     at ``m_max``.  Setting ``fixed_m`` bypasses the tolerance logic entirely
     and sums exactly that many blocks; this is the only supported mode for
-    families with no tail bound (r = 0, or custom tables with no declared
-    decay exponent).
+    the sinc-power family with r = 0, which has no tail bound.
     """
 
     tol: float = 1e-10
@@ -89,7 +88,8 @@ def truncation_order(
     Raises
     ------
     TruncationNotConverged
-        If the family admits no tail bound and no ``fixed_m`` was requested.
+        For the sinc-power family with r = 0 (no tail bound) when no
+        ``fixed_m`` was requested.
     """
     _check_harmonic(n_nodes, k)
     if policy.fixed_m is not None:
@@ -99,7 +99,7 @@ def truncation_order(
     b = tail_bound(family, n_nodes, k, lo)
     if math.isinf(b):
         raise TruncationNotConverged(
-            "family has no tail bound (r = 0 or undeclared table decay); "
+            "family has no tail bound (sinc power with r = 0); "
             "request fixed-M summation instead"
         )
     if b < policy.tol:
@@ -136,7 +136,6 @@ def alias_grid(family: FactorFamily, n_nodes: int, policy: TruncationPolicy) -> 
     for q in range(1, n_nodes, step):
         qs = np.arange(q, min(q + step, n_nodes))
         columns[qs] = factor_values(family, np.add.outer(qs, n_nodes * np.arange(rows)))
-    columns[1 : n + 1, 0] = [factor_at(family, k) for k in range(1, n + 1)]
     depth = np.concatenate(([0], orders + 1, orders[::-1]))
     columns[np.arange(rows) >= depth[:, None]] = 0.0
     return columns.T
@@ -149,11 +148,7 @@ def _basis(family, signs, i1, n_nodes, k, t, policy, trig, outer, inner):
     m = np.arange(1, truncation_order(family, n_nodes, k, policy) + 1)
     sign = outer * (1 - 2 * (m * i1 % 2))
     j = np.concatenate(([k], m * n_nodes + k, m * n_nodes - k))
-    weights = np.concatenate((
-        [factor_at(family, k)],
-        sign * factor_values(family, m * n_nodes + k),
-        sign * inner * factor_values(family, m * n_nodes - k),
-    ))
+    weights = np.concatenate(([1], sign, sign * inner)) * factor_values(family, j)
     t_arr = np.asarray(t, dtype=float)
     tt = np.atleast_1d(t_arr).ravel()
     out = np.empty(tt.size)

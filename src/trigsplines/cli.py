@@ -33,7 +33,7 @@ from .errors import DegenerateVariant, InvalidGrid, TrigSplineError, TruncationN
 from .factors import default_alpha, sinc_power
 from .grid import GridSpec, nodes
 from .harmonics import SampleSet, dft_coeffs
-from .interp_factors import interp_factors, nodal_factors
+from .interp_factors import interp_factors
 from .signs import ELEMENT_NAMES, lookup
 from .spline import SplineSpec, assemble, build, evaluate, sample, verify_interpolation
 
@@ -243,8 +243,8 @@ def cmd_enumerate(args) -> list[dict]:
                 spec = replace(base, signs=lookup(name), i1=i1, i2=i2)
                 try:
                     model = assemble(values, spec, grid)
-                except DegenerateVariant:
-                    pair, residual = nodal_factors(grid, spec.signs, i1, i2), None
+                except DegenerateVariant as exc:
+                    pair, residual = exc.pair, None
                 else:
                     pair, residual = model.factors, verify_interpolation(model).max_residual
                 rows.append(

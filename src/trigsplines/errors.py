@@ -23,11 +23,12 @@ class TruncationNotConverged(TrigSplineError):
 
 class DegenerateVariant(TrigSplineError):
     """An interpolation factor is numerically zero; the variant's spline is undefined
-    at that harmonic."""
+    at that harmonic.  ``pair`` holds the variant's ungated hc/hs factors."""
 
-    def __init__(self, k: int, which: str):
+    def __init__(self, k: int, which: str, pair):
         self.k = k
         self.which = which
+        self.pair = pair
         super().__init__(f"interpolation factor {which}[k={k}] is numerically zero")
 
 

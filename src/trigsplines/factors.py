@@ -3,7 +3,8 @@
 The built-in family is the sinc power ``v_k = [sin(alpha*k/2) / k] ** (1+r)``.
 A finite user-supplied table is supported as an extension point; its entries
 are taken verbatim, and indices beyond the stored range contribute nothing to
-the alias series.
+the alias series.  :func:`factor_values` is the one formula; every other
+reader of v goes through it.
 """
 
 from __future__ import annotations
@@ -24,18 +25,15 @@ CUSTOM_TABLE = "custom-table"
 class FactorFamily:
     """A rule producing the positive-index factors v_1, v_2, ...
 
-    ``kind`` selects the rule.  For ``SINC_POWER`` the factor at k is exactly
+    ``kind`` selects the rule.  For ``SINC_POWER`` the factor at k is
     ``(sin(alpha*k/2) / k) ** (1+r)`` with no sinc normalization.  For
-    ``CUSTOM_TABLE`` the factors are the stored ``table`` entries; the
-    ``decay_exponent`` declaration is what permits tolerance-based truncation
-    (an undeclared exponent forces fixed-order summation).
+    ``CUSTOM_TABLE`` the factors are the stored ``table`` entries.
     """
 
     kind: str
     r: int
     alpha: float | None = None
     table: tuple[float, ...] | None = None
-    decay_exponent: float | None = None
 
     def __post_init__(self):
         if self.kind not in (SINC_POWER, CUSTOM_TABLE):
@@ -58,8 +56,6 @@ class FactorFamily:
         else:
             if self.table is None or len(self.table) == 0:
                 raise ValueError("custom-table family needs a non-empty table")
-            if self.decay_exponent is not None and not self.decay_exponent > 1:
-                raise ValueError("declared decay exponent must exceed 1")
 
 
 def default_alpha(n_nodes: int) -> float:
@@ -72,23 +68,14 @@ def sinc_power(r: int, alpha: float) -> FactorFamily:
     return FactorFamily(kind=SINC_POWER, r=r, alpha=alpha)
 
 
-def custom_table(values, r: int, decay_exponent: float | None = None) -> FactorFamily:
-    """Finite factor table.
-
-    ``decay_exponent`` is the caller's declaration that the tabulated family
-    decays at least like k**-exponent; declaring it enables tolerance-based
-    truncation (see :func:`tail_bound`).
-    """
-    return FactorFamily(
-        kind=CUSTOM_TABLE,
-        r=r,
-        table=tuple(float(x) for x in values),
-        decay_exponent=decay_exponent,
-    )
+def custom_table(values, r: int) -> FactorFamily:
+    """Finite factor table; truncation reads its exact remaining mass (see
+    :func:`tail_bound`)."""
+    return FactorFamily(kind=CUSTOM_TABLE, r=r, table=tuple(float(x) for x in values))
 
 
 def factor_at(family: FactorFamily, k: int) -> float:
-    """The factor v_k for a single positive index k.
+    """The factor v_k for a single positive index k, from :func:`factor_values`.
 
     Raises
     ------
@@ -97,24 +84,27 @@ def factor_at(family: FactorFamily, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if family.kind == SINC_POWER:
-        return (math.sin(family.alpha * k / 2.0) / k) ** (1 + family.r)
-    if k > len(family.table):
+    if family.kind == CUSTOM_TABLE and k > len(family.table):
         raise IndexOutOfTable(f"k={k} beyond stored table of length {len(family.table)}")
-    return family.table[k - 1]
+    return float(factor_values(family, np.array([k]))[0])
 
 
 def factor_values(family: FactorFamily, indices: np.ndarray) -> np.ndarray:
     """Vectorized factors for the alias series.
 
-    Unlike :func:`factor_at`, custom-table indices beyond the stored range
-    evaluate to 0.0 here: the finite table is the whole family, so alias terms
-    past its end simply do not exist.
+    Where x = alpha*j/2 is a multiple of pi, sin(x) computes to rounding
+    noise; a v_j with |sin(x)| <= 4*eps*|x| (that is, |sin(x)/j| <=
+    2*eps*alpha) is exactly 0, so a harmonic with no nonzero factor fails the
+    degeneracy gate.  Unlike :func:`factor_at`, custom-table indices beyond
+    the stored range evaluate to 0.0 here: the finite table is the whole
+    family, so alias terms past its end simply do not exist.
     """
     idx = np.asarray(indices)
     if family.kind == SINC_POWER:
         j = idx.astype(float)
-        return (np.sin(family.alpha * j / 2.0) / j) ** (1 + family.r)
+        q = np.sin(family.alpha / 2.0 * j) / j
+        q[np.abs(q) <= 2.0 * np.finfo(float).eps * family.alpha] = 0.0
+        return q ** (1 + family.r)
     out = np.zeros(idx.shape, dtype=float)
     stored = np.asarray(family.table, dtype=float)
     mask = (idx >= 1) & (idx <= len(stored))
@@ -129,9 +119,7 @@ def tail_bound(family: FactorFamily, n_nodes: int, k: int, m_terms: int) -> floa
     sinc-power family with r >= 1 this uses |v_j| <= j**-(1+r) and an integral
     estimate; for r = 0 no bound exists and +inf is returned (fixed-order
     summation applies).  For a custom table the tail past the stored range is
-    exactly zero, so the bound is the exact remaining in-table mass -- but only
-    when a decay exponent was declared; otherwise +inf is returned and
-    tolerance-based truncation is rejected.
+    exactly zero, so the bound is the exact remaining in-table mass.
     """
     half = (n_nodes - 1) // 2
     if not 1 <= k <= half:
@@ -147,8 +135,6 @@ def tail_bound(family: FactorFamily, n_nodes: int, k: int, m_terms: int) -> floa
         hi = float(m_terms * n_nodes + k)
         return (lo ** -r + hi ** -r) / (r * n_nodes)
 
-    if family.decay_exponent is None:
-        return math.inf
     # Exact remainder of the stored table: indices m*N +/- k with m > m_terms.
     length = len(family.table)
     m_hi = (length + k) // n_nodes

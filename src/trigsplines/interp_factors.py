@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TruncationPolicy, alias_grid
+from .basis import TruncationPolicy, alias_grid, basis_cos, basis_sin
 from .errors import DegenerateVariant, NoUsableNode
-from .factors import FactorFamily, factor_at
+from .factors import FactorFamily
 from .grid import GridSpec, nodes
 from .signs import SignMatrix
 
@@ -56,6 +56,8 @@ class FactorPair:
 def nodal_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> FactorPair:
     """hc/hs of one variant from its :func:`trigsplines.basis.alias_grid`,
     without the degeneracy gate; (-1)^(mJ) splits each column by row parity."""
+    if i1 not in (0, 1) or i2 not in (0, 1):
+        raise ValueError(f"i1 and i2 must be 0 or 1, got {i1!r}, {i2!r}")
     n = (grid.shape[1] - 1) // 2
     s = 1 - 2 * ((i1 + i2) % 2)
     plus = grid[2::2, 1 : n + 1].sum(axis=0) + s * grid[1::2, 1 : n + 1].sum(axis=0)
@@ -78,20 +80,27 @@ def factor_sums(
 ) -> FactorPair:
     """Raw hc/hs values without the degeneracy gate (classification sweeps
     need to see the near-zero entries)."""
-    if i1 not in (0, 1) or i2 not in (0, 1):
-        raise ValueError(f"i1 and i2 must be 0 or 1, got {i1!r}, {i2!r}")
     return nodal_factors(alias_grid(family, n_nodes, policy), signs, i1, i2)
 
 
-def degenerate_harmonic(family: FactorFamily, pair: FactorPair) -> tuple[int, str] | None:
-    """The first (k, "hc" or "hs") whose factor is numerically zero, i.e. at
-    most ``DEGENERACY_RTOL * |v_k|``; None when every factor is usable."""
-    scale = DEGENERACY_RTOL * np.abs([factor_at(family, k) for k in range(1, len(pair.hc) + 1)])
+def gated_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> FactorPair:
+    """:func:`nodal_factors` behind the degeneracy gate, which reads each v_k
+    off row 0 of the grid.
+
+    Raises
+    ------
+    DegenerateVariant
+        At the first k whose |hc_k| or |hs_k| is at most
+        ``DEGENERACY_RTOL * |v_k|``; the variant's spline is undefined at
+        that harmonic.  The exception carries the raw factors.
+    """
+    pair = nodal_factors(grid, signs, i1, i2)
+    scale = DEGENERACY_RTOL * np.abs(grid[0, 1 : len(pair.hc) + 1])
     bad = np.column_stack((np.abs(pair.hc) <= scale, np.abs(pair.hs) <= scale))
-    if not bad.any():
-        return None
-    k, side = np.argwhere(bad)[0]
-    return int(k) + 1, ("hc", "hs")[side]
+    if bad.any():
+        k, side = np.argwhere(bad)[0]
+        raise DegenerateVariant(int(k) + 1, ("hc", "hs")[side], pair)
+    return pair
 
 
 def interp_factors(
@@ -102,19 +111,10 @@ def interp_factors(
     n_nodes: int,
     policy: TruncationPolicy,
 ) -> FactorPair:
-    """Interpolation factors for one classification variant.
-
-    Raises
-    ------
-    DegenerateVariant
-        If some |hc_k| or |hs_k| falls below ``DEGENERACY_RTOL * |v_k|``; the
-        variant's spline is undefined at that harmonic.
-    """
-    pair = factor_sums(family, signs, i1, i2, n_nodes, policy)
-    found = degenerate_harmonic(family, pair)
-    if found is not None:
-        raise DegenerateVariant(*found)
-    return pair
+    """Interpolation factors for one classification variant, behind the
+    degeneracy gate of :func:`gated_factors` (which raises
+    ``DegenerateVariant``)."""
+    return gated_factors(alias_grid(family, n_nodes, policy), signs, i1, i2)
 
 
 def nodal_factor_oracle(
@@ -136,8 +136,6 @@ def nodal_factor_oracle(
     NoUsableNode
         If every node makes cos(k t_j) (or sin(k t_j)) vanish.
     """
-    from .basis import basis_cos, basis_sin  # local import keeps module load light
-
     t = nodes(grid)
     ref_cos = np.cos(k * t)
     ref_sin = np.sin(k * t)

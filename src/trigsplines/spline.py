@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TruncationPolicy, alias_grid
-from .errors import DegenerateVariant
 from .factors import FactorFamily
 from .grid import GridSpec, nodes
 from .harmonics import HarmonicCoeffs, SampleSet, dft_coeffs
-from .interp_factors import FactorPair, degenerate_harmonic, nodal_factors
+from .interp_factors import FactorPair, gated_factors
 from .signs import SignMatrix
 
 # Soft cap on the complex elements of each evaluate temporary.
@@ -100,10 +99,7 @@ def assemble(values, spec: SplineSpec, grid: np.ndarray) -> SplineModel:
     DegenerateVariant
         If an interpolation factor of the variant is numerically zero.
     """
-    factors = nodal_factors(grid, spec.signs, spec.i1, spec.i2)
-    found = degenerate_harmonic(spec.family, factors)
-    if found is not None:
-        raise DegenerateVariant(*found)
+    factors = gated_factors(grid, spec.signs, spec.i1, spec.i2)
     samples = SampleSet(values=np.asarray(values, dtype=float), grid=GridSpec(spec.n_nodes, spec.i2))
     coeffs = dft_coeffs(samples)
     n, s = spec.n_harmonics, spec.signs

@@ -167,7 +167,7 @@ def test_criterion_07_scale_invariance():
         policy = TruncationPolicy(fixed_m=250)  # covers the whole table
         reference = None
         for c in (1e-3, 1.0, 1e3):
-            fam = custom_table(c * base, r=3, decay_exponent=4.0)
+            fam = custom_table(c * base, r=3)
             spec = SplineSpec(
                 family=fam, signs=A1, r=3, n_nodes=N, i1=0, i2=0, policy=policy,
             )

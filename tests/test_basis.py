@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trigsplines import (
@@ -56,7 +56,7 @@ def test_at_zero_cosine_series_equals_factor():
 
 
 def test_custom_table_with_empty_tail_is_single_term():
-    fam = custom_table([0.0, 0.7], r=1, decay_exponent=2.0)
+    fam = custom_table([0.0, 0.7], r=1)
     k, t = 2, 0.9
     val = basis_cos(fam, A1, 0, 9, k, t, TruncationPolicy())
     assert val == pytest.approx(0.7 * math.cos(k * t), rel=0, abs=1e-16)
@@ -159,16 +159,44 @@ class TestTruncationOrder:
         assert tail_bound(fam, 9, 3, m) < pol.tol
         assert m == M_MIN or tail_bound(fam, 9, 3, m - 1) >= pol.tol
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        half=st.integers(min_value=1, max_value=5),
+        length=st.integers(min_value=1, max_value=400),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        decay=st.floats(min_value=0.0, max_value=4.0),
+        k_index=st.integers(min_value=0, max_value=4),
+        log_tol=st.floats(min_value=-12.0, max_value=0.0),
+        m_max=st.integers(min_value=M_MIN, max_value=60),
+    )
+    def test_custom_table_order_is_smallest_below_brute_force_remainder(
+        self, half, length, seed, decay, k_index, log_tol, m_max
+    ):
+        # A finite table's tail is its exact remaining mass, so truncation
+        # needs no declaration: the order is the first m >= M_MIN whose
+        # directly summed remainder is below tol, or the cap.
+        n_nodes, k, tol = 2 * half + 1, k_index % half + 1, 10.0**log_tol
+        rng = np.random.default_rng(seed)
+        entries = rng.uniform(-1.0, 1.0, length) * (rng.uniform(size=length) < 0.8)
+        table = entries / np.arange(1, length + 1) ** decay
+        stored = np.abs(table)
+
+        def remainder(m):
+            j = [i * n_nodes + s for i in range(m + 1, len(table) // n_nodes + 2)
+                 for s in (k, -k)]
+            return math.fsum(stored[i - 1] for i in j if i <= len(table))
+
+        remainders = [remainder(m) for m in range(M_MIN, m_max + 1)]
+        assume(all(abs(r - tol) > 1e-9 * tol for r in remainders))
+        expected = next((m for m, r in enumerate(remainders, M_MIN) if r < tol), m_max)
+        policy = TruncationPolicy(tol=tol, m_max=m_max)
+        assert truncation_order(custom_table(table, r=1), n_nodes, k, policy) == expected
+
     def test_r0_requires_fixed_m(self):
         fam = sinc_power(0, ALPHA9)
         with pytest.raises(TruncationNotConverged):
             truncation_order(fam, 9, 1, TruncationPolicy())
         assert truncation_order(fam, 9, 1, TruncationPolicy(fixed_m=123)) == 123
-
-    def test_undeclared_custom_decay_requires_fixed_m(self):
-        fam = custom_table([1.0, 0.5, 0.2], r=1)
-        with pytest.raises(TruncationNotConverged):
-            truncation_order(fam, 3, 1, TruncationPolicy())
 
     def test_basis_evaluation_surfaces_the_error(self):
         fam = sinc_power(0, ALPHA9)

@@ -296,6 +296,13 @@ def test_enumerate_matches_library_gate(tmp_path, capsys):
     assert {row[5] for row in rows} == {"true", "false"}
 
 
+@pytest.mark.parametrize("alpha, k", [(2.0 * math.pi, 1), (4.0 * math.pi / 3.0, 3)])
+def test_alpha_with_vanishing_factors_rejected_with_one_line(capsys, data_file, alpha, k):
+    code, out, err = run(capsys, "verify", data_file, "--r", "3", "--alpha", repr(alpha))
+    assert code == 1 and out == ""
+    assert err == f"DegenerateVariant: interpolation factor hc[k={k}] is numerically zero\n"
+
+
 def test_m_max_below_minimum_names_m_max(capsys, data_file):
     code, _, err = run(capsys, "verify", data_file, "--m-max", "3")
     assert code == 1

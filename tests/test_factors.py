@@ -57,11 +57,24 @@ def test_sinc_power_even_r_can_go_negative():
 
 
 def test_factor_values_matches_factor_at():
-    fam = sinc_power(2, ALPHA9)
-    idx = np.arange(1, 40)
-    vals = factor_values(fam, idx)
-    for k in (1, 5, 17, 39):
-        assert vals[k - 1] == pytest.approx(factor_at(fam, k), rel=1e-15)
+    for fam in (
+        sinc_power(2, ALPHA9),
+        sinc_power(1, 0.3),
+        custom_table(np.linspace(1.0, -1.0, 39) / np.arange(1, 40), r=1),
+    ):
+        vals = factor_values(fam, np.arange(1, 40))
+        for k in (1, 5, 17, 39):
+            assert vals[k - 1] == factor_at(fam, k)
+
+
+@given(
+    p=st.integers(min_value=1, max_value=4),
+    r=st.integers(min_value=0, max_value=6),
+    j=st.integers(min_value=1, max_value=10**6),
+)
+def test_sinc_power_is_exactly_zero_where_the_sine_vanishes(p, r, j):
+    # alpha*j/2 = pi*p*j: sin there is rounding noise, which becomes 0.
+    assert factor_values(sinc_power(r, 2.0 * math.pi * p), np.array([j]))[0] == 0.0
 
 
 def test_k_below_one_rejected():
@@ -85,14 +98,10 @@ class TestCustomTable:
             factor_values(fam, np.array([1, 2, 3, 100])), [0.5, 0.25, 0.0, 0.0]
         )
 
-    def test_tail_bound_without_exponent_is_infinite(self):
-        fam = custom_table([0.5, 0.25], r=1)
-        assert math.isinf(tail_bound(fam, 3, 1, 1))
-
     def test_tail_bound_with_exponent_is_exact_remainder(self):
         # N=3, k=1: block m covers indices 3m-1 and 3m+1.
         table = [1.0, 0.5, 0.0, 0.25, 2.0, 0.0, 0.125, 0.0625]
-        fam = custom_table(table, r=1, decay_exponent=2.0)
+        fam = custom_table(table, r=1)
         # Beyond m=1: v5 + v7 (m=2) and v8 (m=3; index 10 is out of range).
         assert tail_bound(fam, 3, 1, 1) == pytest.approx(2.0 + 0.125 + 0.0625, abs=0)
         assert tail_bound(fam, 3, 1, 3) == 0.0
@@ -139,8 +148,6 @@ def test_family_validation():
         sinc_power(1, 0.0)
     with pytest.raises(ValueError):
         custom_table([], r=1)
-    with pytest.raises(ValueError):
-        custom_table([1.0], r=1, decay_exponent=0.5)
 
 
 @given(

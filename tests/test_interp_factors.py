@@ -66,7 +66,7 @@ def test_a1_mismatched_grids_alternate():
 def test_custom_table_with_zero_tail_reduces_to_vk():
     # Four stored factors, nothing at the alias indices 9m +/- k.
     table = [0.3, 0.8, 0.5, 0.4]
-    fam = custom_table(table, r=2, decay_exponent=3.0)
+    fam = custom_table(table, r=2)
     for signs in (A1, lookup("C2")):
         pair = interp_factors(fam, signs, 1, 0, 9, TruncationPolicy())
         np.testing.assert_array_equal(pair.hc, table)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigsplines import (
@@ -18,6 +18,7 @@ from trigsplines import (
     default_alpha,
     enumerate_all,
     evaluate,
+    factor_sums,
     lookup,
     nodes,
     sample,
@@ -107,6 +108,57 @@ def test_degenerate_variant_does_not_build():
     with pytest.raises(DegenerateVariant) as err:
         build([1.0, 2.0, 3.0], spec)
     assert (err.value.k, err.value.which) == (1, "hc")
+    raw = factor_sums(spec.family, spec.signs, spec.i1, spec.i2, spec.n_nodes, spec.policy)
+    np.testing.assert_array_equal(err.value.pair.hc, raw.hc)
+    np.testing.assert_array_equal(err.value.pair.hs, raw.hs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    half=st.integers(min_value=2, max_value=10),
+    data=st.data(),
+    element=st.sampled_from(ELEMENT_NAMES),
+    pair=st.sampled_from(GRID_PAIRS),
+)
+def test_short_custom_table_is_degenerate_past_its_end(half, data, element, pair):
+    # Entries past the table are zero, so v_{len+1} and all its aliases are.
+    length = data.draw(st.integers(min_value=1, max_value=half - 1))
+    table = data.draw(st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=length,
+                               max_size=length))
+    spec = SplineSpec(family=custom_table(table, r=1), signs=lookup(element), r=1,
+                      n_nodes=2 * half + 1, i1=pair[0], i2=pair[1])
+    with pytest.raises(DegenerateVariant) as err:
+        build(np.ones(2 * half + 1), spec)
+    assert err.value.k == length + 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    p=st.integers(min_value=1, max_value=4),
+    r=st.integers(min_value=1, max_value=6),
+    half=st.integers(min_value=1, max_value=15),
+    element=st.sampled_from(ELEMENT_NAMES),
+    pair=st.sampled_from(GRID_PAIRS),
+)
+def test_alpha_multiple_of_two_pi_does_not_build(p, r, half, element, pair):
+    # Every sin(alpha*j/2) = sin(p*pi*j) is zero, so no factor is usable.
+    n_nodes = 2 * half + 1
+    spec = make_spec(r, n_nodes, *pair, signs=lookup(element), alpha=2.0 * math.pi * p)
+    with pytest.raises(DegenerateVariant) as err:
+        build(np.ones(n_nodes), spec)
+    assert err.value.k == 1
+    assert not err.value.pair.hc.any() and not err.value.pair.hs.any()
+
+
+def test_alpha_four_pi_thirds_fails_at_k3_and_pi_builds():
+    # At alpha = 4*pi/3 every j = 9m +/- 3 is a multiple of 3, so v_j = 0.
+    with pytest.raises(DegenerateVariant) as err:
+        build(np.ones(9), make_spec(3, 9, alpha=4.0 * math.pi / 3.0))
+    assert (err.value.k, err.value.which) == (3, "hc")
+    # At alpha = pi only even j vanish; the odd aliases of k = 2 remain.
+    model = build(np.arange(9.0), make_spec(3, 9, alpha=math.pi))
+    assert np.abs(model.factors.hc[1]) > 1e-4
+    assert verify_interpolation(model).max_residual < 1e-12
 
 
 def test_family_spec_smoothness_must_agree():
@@ -188,7 +240,7 @@ def test_scale_invariance_of_factor_family(demo_data):
     reference = None
     ts = None
     for c in (1e-3, 1.0, 1e3):
-        fam = custom_table(c * base, r=3, decay_exponent=4.0)
+        fam = custom_table(c * base, r=3)
         spec = SplineSpec(
             family=fam, signs=A1, r=3, n_nodes=9, i1=0, i2=0, policy=policy
         )
@@ -298,7 +350,9 @@ def test_evaluate_matches_direct_series(element, i1, i2, r, alpha_scale, seed, t
     values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=9)
     spec = make_spec(r, 9, i1, i2, signs=lookup(element), alpha=alpha_scale * default_alpha(9))
     model = build(values, spec)
-    np.testing.assert_allclose(evaluate(model, t), series_reference(model, t), rtol=0, atol=1e-12)
+    reference = series_reference(model, t)
+    atol = 1e-12 * max(1.0, np.abs(reference).max())
+    np.testing.assert_allclose(evaluate(model, t), reference, rtol=0, atol=atol)
 
 
 @settings(deadline=None, max_examples=30)
@@ -308,6 +362,8 @@ def test_evaluate_matches_direct_series(element, i1, i2, r, alpha_scale, seed, t
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     t=angles,
 )
+# Near-degenerate: values reach ~240, where rounding alone exceeds 1e-12.
+@example(element="C2", pair=(0, 1), seed=6556, t=np.array([-9.5]))
 def test_custom_table_evaluate_matches_direct_series(element, pair, seed, t):
     rng = np.random.default_rng(seed)
     j = np.arange(1, 201)
@@ -317,7 +373,9 @@ def test_custom_table_evaluate_matches_direct_series(element, pair, seed, t):
         policy=TruncationPolicy(fixed_m=30),
     )
     model = build(rng.uniform(-1.0, 1.0, size=9), spec)
-    np.testing.assert_allclose(evaluate(model, t), series_reference(model, t), rtol=0, atol=1e-12)
+    reference = series_reference(model, t)
+    atol = 1e-12 * max(1.0, np.abs(reference).max())
+    np.testing.assert_allclose(evaluate(model, t), reference, rtol=0, atol=atol)
 
 
 def test_sample_at_65536_points_matches_evaluate(demo_data):
