@@ -16,7 +16,7 @@ from .analog import (
     max_deviation,
     solve_cyclic_tridiagonal,
 )
-from .basis import DEFAULT_FIXED_M, TruncationPolicy, basis_cos, basis_sin, truncation_order
+from .basis import DEFAULT_FIXED_M, TruncationPolicy, alias_depth, basis_cos, basis_sin
 from .errors import (
     DegenerateVariant,
     IndexOutOfTable,
@@ -34,7 +34,6 @@ from .factors import (
     factor_at,
     factor_values,
     sinc_power,
-    tail_bound,
 )
 from .grid import GridSpec, nodes
 from .harmonics import HarmonicCoeffs, SampleSet, dft_coeffs, trig_poly_eval
@@ -79,6 +78,7 @@ __all__ = [
     "TruncationNotConverged",
     "TruncationPolicy",
     "UnknownElement",
+    "alias_depth",
     "basis_cos",
     "basis_sin",
     "build",
@@ -101,8 +101,6 @@ __all__ = [
     "sample",
     "sinc_power",
     "solve_cyclic_tridiagonal",
-    "tail_bound",
     "trig_poly_eval",
-    "truncation_order",
     "verify_interpolation",
 ]

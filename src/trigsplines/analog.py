@@ -21,6 +21,7 @@ BROKEN_LINE = "broken-line"
 CUBIC = "cubic"
 QUADRATIC = "quadratic"
 
+# Largest cyclic-solve residual accepted, relative to max|rhs|.
 _RESIDUAL_LIMIT = 1e-10
 
 
@@ -77,11 +78,17 @@ def _thomas(sub, diag, sup, rhs):
     return x
 
 
-def _cyclic_residual(sub, diag, sup, rhs, x):
-    n = len(x)
-    prev = np.roll(x, 1)
-    nxt = np.roll(x, -1)
-    return np.abs(sub * prev + diag * x + sup * nxt - rhs).max()
+def _checked_solve(diag: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve x_{j-1} + diag*x_j + x_{j+1} = rhs_j (indices mod n) and verify
+    that the residual stays within ``_RESIDUAL_LIMIT`` times max|rhs|."""
+    n = len(rhs)
+    ones = np.ones(n)
+    x = solve_cyclic_tridiagonal(ones, np.full(n, diag), ones, rhs)
+    residual = np.abs(np.roll(x, 1) + diag * x + np.roll(x, -1) - rhs).max()
+    limit = _RESIDUAL_LIMIT * np.abs(rhs).max()
+    if residual > limit:
+        raise SolverFailure(f"cyclic solve residual {residual:.3e} > {limit:.3e}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,21 +164,15 @@ def fit_periodic_cubic(values, grid: GridSpec) -> PeriodicPolySpline:
 
     The second derivatives m_j solve the cyclic tridiagonal system
     m_{j-1} + 4 m_j + m_{j+1} = (6/h^2)(f_{j-1} - 2 f_j + f_{j+1}); the
-    residual of the solve is verified and must stay below 1e-10.
+    residual of the solve must stay within 1e-10 of the right-hand side's
+    largest entry.
     """
     vals = np.asarray(values, dtype=float)
     n = grid.n_nodes
     if len(vals) != n:
         raise ValueError(f"need {n} values, got {len(vals)}")
     h = grid.spacing
-    sub = np.ones(n)
-    diag = np.full(n, 4.0)
-    sup = np.ones(n)
-    rhs = 6.0 / h**2 * (np.roll(vals, 1) - 2.0 * vals + np.roll(vals, -1))
-    m = solve_cyclic_tridiagonal(sub, diag, sup, rhs)
-    residual = _cyclic_residual(sub, diag, sup, rhs, m)
-    if residual >= _RESIDUAL_LIMIT:
-        raise SolverFailure(f"cyclic solve residual {residual:.3e} >= {_RESIDUAL_LIMIT:.0e}")
+    m = _checked_solve(4.0, 6.0 / h**2 * (np.roll(vals, 1) - 2.0 * vals + np.roll(vals, -1)))
     return PeriodicPolySpline(kind=CUBIC, knots=grid, values=vals, second_derivs=m)
 
 
@@ -188,18 +189,8 @@ def fit_periodic_quadratic(values, grid: GridSpec) -> PeriodicPolySpline:
         raise ValueError(f"need {n} values, got {len(vals)}")
     if grid.kind != 1:
         raise ValueError("quadratic analog interpolates kind-1 data; pass the kind-1 grid")
-    sub = np.ones(n)
-    diag = np.full(n, 6.0)
-    sup = np.ones(n)
-    rhs = 4.0 * (np.roll(vals, 1) + vals)
-    u = solve_cyclic_tridiagonal(sub, diag, sup, rhs)
-    residual = _cyclic_residual(sub, diag, sup, rhs, u)
-    if residual >= _RESIDUAL_LIMIT:
-        raise SolverFailure(f"cyclic solve residual {residual:.3e} >= {_RESIDUAL_LIMIT:.0e}")
-    knot_grid = GridSpec(n, 0)
-    return PeriodicPolySpline(
-        kind=QUADRATIC, knots=knot_grid, values=vals, knot_values=u
-    )
+    u = _checked_solve(6.0, 4.0 * (np.roll(vals, 1) + vals))
+    return PeriodicPolySpline(kind=QUADRATIC, knots=GridSpec(n, 0), values=vals, knot_values=u)
 
 
 def max_deviation(model: SplineModel, analog, n_samples: int) -> float:

@@ -354,6 +354,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads "-1,7" in "--at -1,7" as an option; bind it as "--at=-1,7".
+    while "--at" in argv[:-1]:
+        i = argv.index("--at")
+        argv[i : i + 2] = [f"--at={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
         _emit(args, args.handler(args))

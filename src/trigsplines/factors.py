@@ -69,8 +69,7 @@ def sinc_power(r: int, alpha: float) -> FactorFamily:
 
 
 def custom_table(values, r: int) -> FactorFamily:
-    """Finite factor table; truncation reads its exact remaining mass (see
-    :func:`tail_bound`)."""
+    """Finite factor table; the alias series is summed to its end."""
     return FactorFamily(kind=CUSTOM_TABLE, r=r, table=tuple(float(x) for x in values))
 
 
@@ -110,37 +109,3 @@ def factor_values(family: FactorFamily, indices: np.ndarray) -> np.ndarray:
     mask = (idx >= 1) & (idx <= len(stored))
     out[mask] = stored[idx[mask] - 1]
     return out
-
-
-def tail_bound(family: FactorFamily, n_nodes: int, k: int, m_terms: int) -> float:
-    """Upper bound on the absolute alias tail beyond m_terms blocks.
-
-    Bounds ``sum_{m > m_terms} |v_{m*N+k}| + |v_{m*N-k}|``.  For the
-    sinc-power family with r >= 1 this uses |v_j| <= j**-(1+r) and an integral
-    estimate; for r = 0 no bound exists and +inf is returned (fixed-order
-    summation applies).  For a custom table the tail past the stored range is
-    exactly zero, so the bound is the exact remaining in-table mass.
-    """
-    half = (n_nodes - 1) // 2
-    if not 1 <= k <= half:
-        raise ValueError(f"k must be in [1, {half}], got {k}")
-    if m_terms < 1:
-        raise ValueError(f"m_terms must be >= 1, got {m_terms}")
-
-    if family.kind == SINC_POWER:
-        r = family.r
-        if r == 0:
-            return math.inf
-        lo = float(m_terms * n_nodes - k)
-        hi = float(m_terms * n_nodes + k)
-        return (lo ** -r + hi ** -r) / (r * n_nodes)
-
-    # Exact remainder of the stored table: indices m*N +/- k with m > m_terms.
-    length = len(family.table)
-    m_hi = (length + k) // n_nodes
-    if m_hi <= m_terms:
-        return 0.0
-    m = np.arange(m_terms + 1, m_hi + 1)
-    vals = np.abs(factor_values(family, m * n_nodes + k))
-    vals += np.abs(factor_values(family, m * n_nodes - k))
-    return float(vals.sum())

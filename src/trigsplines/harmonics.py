@@ -76,12 +76,10 @@ def dft_coeffs(samples: SampleSet) -> HarmonicCoeffs:
 def trig_poly_eval(coeffs: HarmonicCoeffs, t):
     """Evaluate a0/2 + sum_k (a_k cos(kt) + b_k sin(kt)).
 
-    Accepts a scalar or an array of angles; returns the matching shape.
+    Accepts a scalar or an array of angles; returns a float or an array of
+    the angles' shape.
     """
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    tt = np.atleast_1d(t_arr)
-    k = np.arange(1, coeffs.n_harmonics + 1)
-    kt = np.outer(tt, k)
+    kt = np.multiply.outer(t_arr, np.arange(1, coeffs.n_harmonics + 1))
     out = coeffs.a0 / 2.0 + np.cos(kt) @ coeffs.a + np.sin(kt) @ coeffs.b
-    return float(out[0]) if scalar else out
+    return float(out) if t_arr.ndim == 0 else out

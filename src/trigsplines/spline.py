@@ -6,9 +6,10 @@ I2.  Built from N data values, it evaluates as
 
     a0/2 + sum_k [ a_k * basis_cos_k(t) / hc_k + b_k * basis_sin_k(t) / hs_k ]
 
-with coefficients taken on the kind-I2 grid and factors truncated with the
-same per-harmonic order as the basis series, which pins the spline to the
-data at the interpolation nodes regardless of the truncation depth.
+with coefficients taken on the kind-I2 grid and factors truncated at the
+same depth M as the basis series (one M per build, from
+:func:`trigsplines.basis.alias_depth`), which pins the spline to the data at
+the interpolation nodes regardless of that depth.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ class SplineModel:
     """A built spline: spec, coefficients, factors, the source samples, and
     the whole truncated series.
 
-    ``spectrum`` is the complex (M_max + 1) x N grid of the series
-    coefficients c_j, j = m*N + q, laid out like
+    ``spectrum`` is the complex (M + 1) x N grid of the series
+    coefficients c_j, j = m*N + q, with the build's one alias depth M, laid
+    out like
     :func:`trigsplines.basis.alias_grid`; the spline is Re sum_j c_j e^{ijt}.
     It takes 16 bytes per alias term.
     """
@@ -135,7 +137,8 @@ def evaluate(model: SplineModel, t):
     Re sum_q e^{iqt} sum_m e^{imNt} c_{mN+q}: one matrix product over the
     spectrum per batch of points.  Angles are reduced modulo 2*pi first, which
     leaves those in [0, 2*pi) unchanged; a NaN or infinite angle raises
-    ``ValueError``.
+    ``ValueError``.  Returns a float for a scalar angle, else an array of the
+    angles' shape.
     """
     t_arr = np.asarray(t, dtype=float)
     tt = np.atleast_1d(t_arr).ravel()
@@ -152,7 +155,7 @@ def evaluate(model: SplineModel, t):
         # BLAS worker threads, which then spin and slow the caller's next work.
         inner = np.einsum("pm,mq->pq", _powers(ts, n_nodes, rows), model.spectrum)
         out[start : start + step] = np.einsum("pq,pq->p", inner, _powers(ts, 1, n_nodes)).real
-    return float(out[0]) if t_arr.ndim == 0 else out
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def sample(model: SplineModel, count: int) -> np.ndarray:

@@ -124,6 +124,26 @@ class TestPeriodicCubic:
         with pytest.raises(SolverFailure):
             analog_mod.fit_periodic_cubic(demo_data, GridSpec(9, 0))
 
+    def test_solver_gate_catches_a_small_relative_error(self, demo_data, monkeypatch):
+        # The limit scales with max|rhs|, yet a solution off by 1e-6 relative
+        # still fails it.
+        solve = analog_mod.solve_cyclic_tridiagonal
+        monkeypatch.setattr(
+            analog_mod, "solve_cyclic_tridiagonal", lambda *a: solve(*a) * (1.0 + 1e-6)
+        )
+        with pytest.raises(SolverFailure):
+            analog_mod.fit_periodic_cubic(demo_data, GridSpec(9, 0))
+        with pytest.raises(SolverFailure):
+            analog_mod.fit_periodic_quadratic(demo_data, GridSpec(9, 1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_nodes", [1001, 2001])
+    def test_large_grids_fit(self, n_nodes, seed):
+        # The right-hand side grows like N**2, and so does the solve's rounding.
+        values = np.random.default_rng(seed).standard_normal(n_nodes)
+        grid = GridSpec(n_nodes, 0)
+        np.testing.assert_allclose(fit_periodic_cubic(values, grid)(nodes(grid)), values, atol=1e-9)
+
 
 class TestPeriodicQuadratic:
     def test_interpolates_at_kind1_nodes(self, demo_data):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigsplines import (
     GridSpec,
+    InvalidGrid,
     TruncationNotConverged,
     TruncationPolicy,
+    alias_depth,
     basis_cos,
     basis_sin,
     custom_table,
@@ -18,9 +20,8 @@ from trigsplines import (
     lookup,
     nodes,
     sinc_power,
-    truncation_order,
 )
-from trigsplines.basis import M_MIN
+from trigsplines.basis import M_MIN, _tail_bound
 
 ALPHA9 = default_alpha(9)
 A1 = lookup("A1")
@@ -123,15 +124,39 @@ def test_nodal_proportionality_all_elements():
                         )
 
 
+def direct_alias_tail(r, n_nodes, m_from, blocks):
+    """|v_{mN+k}| + |v_{mN-k}| summed over blocks m_from .. m_from+blocks-1
+    for every harmonic k, from the defining formula."""
+    alpha = 2.0 * math.pi / n_nodes
+    k = np.arange(1, (n_nodes - 1) // 2 + 1)[:, None]
+    m = np.arange(m_from, m_from + blocks)[None, :]
+    j = np.concatenate((m * n_nodes + k, m * n_nodes - k), axis=1).astype(float)
+    return (np.abs(np.sin(alpha * j / 2.0) / j) ** (1 + r)).sum(axis=1)
+
+
+def direct_table_series(table, n_nodes, i1, k, t, outer, inner, trig):
+    """A custom table's basis series summed over every stored index j = +-k
+    (mod N), from the defining formula."""
+    total = 0.0
+    for j, v in enumerate(table, 1):
+        if j == k:
+            total += v * trig(k * t)
+        elif j % n_nodes in (k, n_nodes - k):
+            m = (j + k) // n_nodes
+            side = 1.0 if j % n_nodes == k else inner
+            total += outer * (-1.0) ** (m * i1) * side * v * trig(j * t)
+    return total
+
+
 class TestTruncationOrder:
     def test_tolerance_driven_order_ignores_cap_growth(self):
         fam = sinc_power(3, ALPHA9)
         pol = TruncationPolicy(tol=1e-10, m_max=20_000)
         pol2 = TruncationPolicy(tol=1e-10, m_max=40_000)
+        m1 = alias_depth(fam, 9, pol)
+        assert m1 < 20_000  # genuinely tolerance-determined
+        assert alias_depth(fam, 9, pol2) == m1
         for k in (1, 2, 3, 4):
-            m1 = truncation_order(fam, 9, k, pol)
-            assert m1 < 20_000  # genuinely tolerance-determined
-            assert truncation_order(fam, 9, k, pol2) == m1
             val1 = basis_cos(fam, A1, 0, 9, k, 0.77, pol)
             val2 = basis_cos(fam, A1, 0, 9, k, 0.77, pol2)
             assert abs(val1 - val2) < pol.tol
@@ -148,55 +173,70 @@ class TestTruncationOrder:
     def test_unreachable_tolerance_caps_at_m_max(self):
         fam = sinc_power(1, ALPHA9)
         pol = TruncationPolicy(tol=1e-10, m_max=500)
-        assert truncation_order(fam, 9, 1, pol) == 500
+        assert alias_depth(fam, 9, pol) == 500
 
-    def test_bound_respected_when_tolerance_met(self):
-        fam = sinc_power(2, ALPHA9)
-        pol = TruncationPolicy(tol=1e-8)
-        m = truncation_order(fam, 9, 3, pol)
-        from trigsplines import tail_bound
-
-        assert tail_bound(fam, 9, 3, m) < pol.tol
-        assert m == M_MIN or tail_bound(fam, 9, 3, m - 1) >= pol.tol
+    @settings(deadline=None, max_examples=40)
+    @given(
+        r=st.integers(min_value=1, max_value=6),
+        half=st.integers(min_value=1, max_value=100),
+        log_tol=st.floats(min_value=-14.0, max_value=-4.0),
+    )
+    # The default tol where harmonic 1 alone would stop one block earlier.
+    @example(r=5, half=4, log_tol=-10.0)
+    @example(r=4, half=10, log_tol=-10.0)
+    def test_bound_respected_when_tolerance_met(self, r, half, log_tol):
+        # One depth serves every harmonic: unless the cap was hit, the bound at
+        # the worst harmonic and each harmonic's directly summed tail (over
+        # the next 2000 blocks) are below tol, and no smaller depth passes.
+        n_nodes, policy = 2 * half + 1, TruncationPolicy(tol=10.0**log_tol)
+        m = alias_depth(sinc_power(r, default_alpha(n_nodes)), n_nodes, policy)
+        assert M_MIN <= m <= policy.m_max
+        if m < policy.m_max:
+            assert _tail_bound(r, n_nodes, half, m) < policy.tol
+            assert direct_alias_tail(r, n_nodes, m + 1, 2000).max() < policy.tol
+        assert m == M_MIN or _tail_bound(r, n_nodes, half, m - 1) >= policy.tol
 
     @settings(deadline=None, max_examples=60)
     @given(
         half=st.integers(min_value=1, max_value=5),
         length=st.integers(min_value=1, max_value=400),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        decay=st.floats(min_value=0.0, max_value=4.0),
         k_index=st.integers(min_value=0, max_value=4),
+        i1=st.integers(min_value=0, max_value=1),
+        element=st.sampled_from(["A1", "B2", "C3", "D4"]),
+        t=st.floats(min_value=-7.0, max_value=7.0),
         log_tol=st.floats(min_value=-12.0, max_value=0.0),
         m_max=st.integers(min_value=M_MIN, max_value=60),
     )
-    def test_custom_table_order_is_smallest_below_brute_force_remainder(
-        self, half, length, seed, decay, k_index, log_tol, m_max
+    def test_custom_table_series_is_its_full_sum(
+        self, half, length, seed, k_index, i1, element, t, log_tol, m_max
     ):
-        # A finite table's tail is its exact remaining mass, so truncation
-        # needs no declaration: the order is the first m >= M_MIN whose
-        # directly summed remainder is below tol, or the cap.
-        n_nodes, k, tol = 2 * half + 1, k_index % half + 1, 10.0**log_tol
+        # A finite table is summed to its end whatever tol and m_max say.
+        n_nodes, k = 2 * half + 1, k_index % half + 1
         rng = np.random.default_rng(seed)
-        entries = rng.uniform(-1.0, 1.0, length) * (rng.uniform(size=length) < 0.8)
-        table = entries / np.arange(1, length + 1) ** decay
-        stored = np.abs(table)
+        table = rng.uniform(-1.0, 1.0, length) / np.arange(1, length + 1)
+        fam, signs = custom_table(table, r=1), lookup(element)
+        policy = TruncationPolicy(tol=10.0**log_tol, m_max=m_max)
+        for basis, trig, outer, inner in (
+            (basis_cos, np.cos, signs.cos_outer, signs.cos_inner),
+            (basis_sin, np.sin, signs.sin_outer, signs.sin_inner),
+        ):
+            expected = direct_table_series(table, n_nodes, i1, k, t, outer, inner, trig)
+            got = basis(fam, signs, i1, n_nodes, k, t, policy)
+            assert got == pytest.approx(expected, rel=0, abs=1e-13)
 
-        def remainder(m):
-            j = [i * n_nodes + s for i in range(m + 1, len(table) // n_nodes + 2)
-                 for s in (k, -k)]
-            return math.fsum(stored[i - 1] for i in j if i <= len(table))
-
-        remainders = [remainder(m) for m in range(M_MIN, m_max + 1)]
-        assume(all(abs(r - tol) > 1e-9 * tol for r in remainders))
-        expected = next((m for m, r in enumerate(remainders, M_MIN) if r < tol), m_max)
-        policy = TruncationPolicy(tol=tol, m_max=m_max)
-        assert truncation_order(custom_table(table, r=1), n_nodes, k, policy) == expected
-
-    def test_r0_requires_fixed_m(self):
-        fam = sinc_power(0, ALPHA9)
+    @settings(deadline=None, max_examples=20)
+    @given(
+        half=st.integers(min_value=1, max_value=100),
+        log_tol=st.floats(min_value=-14.0, max_value=-1.0),
+        fixed_m=st.integers(min_value=1, max_value=10**6),
+    )
+    def test_r0_requires_fixed_m(self, half, log_tol, fixed_m):
+        n_nodes = 2 * half + 1
+        fam = sinc_power(0, default_alpha(n_nodes))
         with pytest.raises(TruncationNotConverged):
-            truncation_order(fam, 9, 1, TruncationPolicy())
-        assert truncation_order(fam, 9, 1, TruncationPolicy(fixed_m=123)) == 123
+            alias_depth(fam, n_nodes, TruncationPolicy(tol=10.0**log_tol))
+        assert alias_depth(fam, n_nodes, TruncationPolicy(fixed_m=fixed_m)) == fixed_m
 
     def test_basis_evaluation_surfaces_the_error(self):
         fam = sinc_power(0, ALPHA9)
@@ -218,6 +258,16 @@ def test_vector_and_scalar_evaluation_agree():
     vec = basis_cos(fam, A1, 1, 9, 3, ts, FAST)
     for i, t in enumerate(ts):
         assert vec[i] == pytest.approx(basis_cos(fam, A1, 1, 9, 3, float(t), FAST), abs=1e-14)
+
+
+def test_node_count_and_harmonic_checked():
+    fam = sinc_power(1, ALPHA9)
+    with pytest.raises(InvalidGrid):
+        alias_depth(fam, 8, FAST)
+    with pytest.raises(ValueError, match="k must be"):
+        basis_cos(fam, A1, 0, 9, 5, 0.1, FAST)  # k beyond (N-1)/2
+    with pytest.raises(ValueError, match="k must be"):
+        basis_sin(fam, A1, 0, 9, 0, 0.1, FAST)
 
 
 def test_policy_validation():

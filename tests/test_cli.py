@@ -120,6 +120,13 @@ def test_build_eval_command(capsys, data_file):
     assert float(rows[0].split(",")[1]) == pytest.approx(3.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("angles", ["-1,7", "-1e-3", "-0.5", "-2,-3.5e1"])
+def test_build_eval_accepts_negative_angles_as_written(capsys, data_file, angles):
+    expected = run(capsys, "build-eval", data_file, "--r", "3", f"--at={angles}")
+    assert expected[0] == 0
+    assert run(capsys, "build-eval", data_file, "--r", "3", "--at", angles) == expected
+
+
 def test_enumerate_command(capsys, data_file):
     code, out, _ = run(capsys, "enumerate", data_file, "--r", "1", "--m-max", "300")
     assert code == 0

@@ -12,8 +12,8 @@ from trigsplines import (
     factor_at,
     factor_values,
     sinc_power,
-    tail_bound,
 )
+from trigsplines.basis import _tail_bound
 
 ALPHA9 = default_alpha(9)
 
@@ -98,47 +98,28 @@ class TestCustomTable:
             factor_values(fam, np.array([1, 2, 3, 100])), [0.5, 0.25, 0.0, 0.0]
         )
 
-    def test_tail_bound_with_exponent_is_exact_remainder(self):
-        # N=3, k=1: block m covers indices 3m-1 and 3m+1.
-        table = [1.0, 0.5, 0.0, 0.25, 2.0, 0.0, 0.125, 0.0625]
-        fam = custom_table(table, r=1)
-        # Beyond m=1: v5 + v7 (m=2) and v8 (m=3; index 10 is out of range).
-        assert tail_bound(fam, 3, 1, 1) == pytest.approx(2.0 + 0.125 + 0.0625, abs=0)
-        assert tail_bound(fam, 3, 1, 3) == 0.0
-
 
 class TestTailBound:
-    def test_r0_has_no_bound(self):
-        assert math.isinf(tail_bound(sinc_power(0, ALPHA9), 9, 1, 10))
+    """The closed-form alias tail bound behind :func:`trigsplines.alias_depth`."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_monotone_nonincreasing(self, k):
-        fam = sinc_power(3, ALPHA9)
-        bounds = [tail_bound(fam, 9, k, m) for m in (1, 2, 4, 8, 64, 512)]
+        bounds = [_tail_bound(3, 9, k, m) for m in (1, 2, 4, 8, 64, 512)]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
         assert bounds[-1] < 1e-8  # decays towards zero
 
     def test_bound_dominates_brute_force_tail(self):
         # One million further blocks approximate the true infinite tail.
-        fam = sinc_power(1, ALPHA9)
         actual = brute_alias_tail(1, 9, 1, 101, 1_000_100)
-        bound = tail_bound(fam, 9, 1, 100)
+        bound = _tail_bound(1, 9, 1, 100)
         assert bound >= actual
         assert bound < 10.0 * actual  # and it is not wildly loose
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_bound_dominates_for_various_r(self, r):
-        fam = sinc_power(r, ALPHA9)
         for m_terms in (10, 50):
             actual = brute_alias_tail(r, 9, 2, m_terms + 1, m_terms + 200_000)
-            assert tail_bound(fam, 9, 2, m_terms) >= actual
-
-    def test_preconditions(self):
-        fam = sinc_power(1, ALPHA9)
-        with pytest.raises(ValueError):
-            tail_bound(fam, 9, 5, 10)  # k beyond (N-1)/2
-        with pytest.raises(ValueError):
-            tail_bound(fam, 9, 1, 0)
+            assert _tail_bound(r, 9, 2, m_terms) >= actual
 
 
 def test_family_validation():

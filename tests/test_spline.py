@@ -19,10 +19,12 @@ from trigsplines import (
     enumerate_all,
     evaluate,
     factor_sums,
+    fit_periodic_cubic,
     lookup,
     nodes,
     sample,
     sinc_power,
+    trig_poly_eval,
     verify_interpolation,
 )
 
@@ -394,3 +396,31 @@ def test_large_angles_reduce_modulo_two_pi(magnitude, sign):
     model = build(np.random.default_rng(3).uniform(-1.0, 1.0, size=9), make_spec(1, 9, 1, 0))
     t = sign * magnitude
     assert evaluate(model, t) == evaluate(model, float(np.mod(t, 2.0 * np.pi)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    shape=st.sampled_from([(), (0,), (1,), (5,), (2, 3), (0, 2), (3, 1)]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_evaluators_return_the_shape_of_t(shape, seed):
+    # A float for a scalar angle, else an array of the angles' shape holding
+    # the values at the flattened angles.
+    rng = np.random.default_rng(seed)
+    spec = make_spec(2, 9, i1=1)
+    model = build(rng.standard_normal(9), spec)
+    evaluators = (
+        model,
+        lambda t: trig_poly_eval(model.coeffs, t),
+        lambda t: basis_cos(spec.family, spec.signs, 1, 9, 3, t, FAST),
+        lambda t: basis_sin(spec.family, spec.signs, 1, 9, 3, t, FAST),
+        fit_periodic_cubic(model.source.values, GridSpec(9, 0)),
+    )
+    t = np.asarray(rng.uniform(-10.0, 10.0, shape))
+    for f in evaluators:
+        out = f(t)
+        if shape == ():
+            assert type(out) is float and type(f(float(t))) is float
+        else:
+            assert out.shape == shape
+        np.testing.assert_allclose(np.ravel(out), f(t.ravel()), rtol=1e-13, atol=1e-13)
