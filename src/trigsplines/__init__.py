@@ -14,7 +14,6 @@ from .analog import (
     fit_periodic_cubic,
     fit_periodic_quadratic,
     max_deviation,
-    solve_cyclic_tridiagonal,
 )
 from .basis import DEFAULT_FIXED_M, TruncationPolicy, alias_depth, basis_cos, basis_sin
 from .errors import (
@@ -100,7 +99,6 @@ __all__ = [
     "nodes",
     "sample",
     "sinc_power",
-    "solve_cyclic_tridiagonal",
     "trig_poly_eval",
     "verify_interpolation",
 ]

@@ -120,6 +120,16 @@ def assemble(values, spec: SplineSpec, grid: np.ndarray) -> SplineModel:
     return SplineModel(spec=spec, coeffs=coeffs, factors=factors, source=samples, spectrum=spectrum)
 
 
+def _finite_angles(t) -> np.ndarray:
+    """``t`` as a float array; a NaN or infinite angle raises ``ValueError``
+    naming the first one and its index in the flattened array."""
+    t_arr = np.asarray(t, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(t_arr))
+    if bad.size:
+        raise ValueError(f"angles must be finite, got {t_arr.flat[bad[0]]} at index {bad[0]}")
+    return t_arr
+
+
 def _powers(t: np.ndarray, stride: int, count: int) -> np.ndarray:
     """e^{i*k*stride*t} for k = 0..count-1, one row per angle of the column
     ``t``.  With k = a*w + b, w = ceil(sqrt(count)), each entry is the product
@@ -140,12 +150,8 @@ def evaluate(model: SplineModel, t):
     ``ValueError``.  Returns a float for a scalar angle, else an array of the
     angles' shape.
     """
-    t_arr = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(t_arr).ravel()
-    bad = np.flatnonzero(~np.isfinite(tt))
-    if bad.size:
-        raise ValueError(f"angles must be finite, got {tt[bad[0]]} at index {bad[0]}")
-    tt = np.mod(tt, 2.0 * np.pi)
+    t_arr = _finite_angles(t)
+    tt = np.mod(t_arr.ravel(), 2.0 * np.pi)
     rows, n_nodes = model.spectrum.shape
     out = np.empty(tt.size)
     step = max(1, _CHUNK_ELEMENTS // (2 * max(rows, n_nodes)))

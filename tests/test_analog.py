@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,16 @@ from trigsplines import (
     max_deviation,
     nodes,
     sinc_power,
-    solve_cyclic_tridiagonal,
     SplineSpec,
 )
+
+# Each oracle's fit, the grid kind of its data and the number of derivatives
+# (counting the value) that agree across every knot.
+FITS = {
+    "broken-line": (fit_broken_line, 0, 1),
+    "cubic": (fit_periodic_cubic, 0, 3),
+    "quadratic": (fit_periodic_quadratic, 1, 2),
+}
 
 
 def dense_cyclic_solve(sub, diag, sup, rhs):
@@ -36,22 +45,15 @@ def dense_cyclic_solve(sub, diag, sup, rhs):
 class TestCyclicSolver:
     @settings(deadline=None, max_examples=40)
     @given(
-        st.integers(min_value=3, max_value=40),
+        st.integers(min_value=1, max_value=100).map(lambda k: 2 * k + 1),
+        st.sampled_from([4.0, 6.0]),
         st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_matches_dense_solver(self, n, seed):
-        rng = np.random.default_rng(seed)
-        sub = rng.uniform(-1.0, 1.0, n)
-        sup = rng.uniform(-1.0, 1.0, n)
-        diag = rng.uniform(3.0, 6.0, n)  # diagonally dominant
-        rhs = rng.uniform(-10.0, 10.0, n)
-        x = solve_cyclic_tridiagonal(sub, diag, sup, rhs)
-        oracle = dense_cyclic_solve(sub, diag, sup, rhs)
-        np.testing.assert_allclose(x, oracle, atol=1e-10)
-
-    def test_small_system_rejected(self):
-        with pytest.raises(ValueError):
-            solve_cyclic_tridiagonal([1, 1], [4, 4], [1, 1], [1, 2])
+    def test_matches_dense_solver(self, n, diag, seed):
+        rhs = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
+        ones = np.ones(n)
+        oracle = dense_cyclic_solve(ones, np.full(n, diag), ones, rhs)
+        np.testing.assert_allclose(analog_mod._solve_circulant(diag, rhs), oracle, atol=1e-10)
 
 
 class TestBrokenLine:
@@ -80,8 +82,9 @@ class TestBrokenLine:
 
 class TestPeriodicCubic:
     def test_constant_has_zero_curvature(self):
-        cub = fit_periodic_cubic(np.full(9, 1.25), GridSpec(9, 0))
-        np.testing.assert_allclose(cub.second_derivs, 0.0, atol=1e-12)
+        grid = GridSpec(9, 0)
+        cub = fit_periodic_cubic(np.full(9, 1.25), grid)
+        np.testing.assert_allclose(2.0 * cub.coeffs[:, 2] / grid.spacing**2, 0.0, atol=1e-12)
         ts = np.linspace(0.0, 2.0 * np.pi, 33)
         np.testing.assert_allclose(cub(ts), 1.25, atol=1e-12)
 
@@ -94,7 +97,7 @@ class TestPeriodicCubic:
         grid = GridSpec(9, 0)
         cub = fit_periodic_cubic(demo_data, grid)
         h = grid.spacing
-        m = cub.second_derivs
+        m = 2.0 * cub.coeffs[:, 2] / h**2
         f = demo_data
         lhs = np.roll(m, 1) + 4.0 * m + np.roll(m, -1)
         rhs = 6.0 / h**2 * (np.roll(f, 1) - 2.0 * f + np.roll(f, -1))
@@ -108,7 +111,7 @@ class TestPeriodicCubic:
         n = 9
         rhs = 6.0 / h**2 * (np.roll(f, 1) - 2.0 * f + np.roll(f, -1))
         oracle = dense_cyclic_solve(np.ones(n), np.full(n, 4.0), np.ones(n), rhs)
-        np.testing.assert_allclose(cub.second_derivs, oracle, atol=1e-10)
+        np.testing.assert_allclose(2.0 * cub.coeffs[:, 2] / h**2, oracle, atol=1e-10)
 
     def test_sine_data_tracks_sine(self):
         grid = GridSpec(21, 0)
@@ -117,20 +120,26 @@ class TestPeriodicCubic:
         assert np.abs(cub(ts) - np.sin(ts)).max() < 2e-3
 
     def test_solver_failure_gate(self, demo_data, monkeypatch):
-        def bad_solver(sub, diag, sup, rhs):
-            return np.zeros_like(np.asarray(rhs, dtype=float))
+        def bad_solver(diag, rhs):
+            return np.zeros_like(rhs)
 
-        monkeypatch.setattr(analog_mod, "solve_cyclic_tridiagonal", bad_solver)
+        monkeypatch.setattr(analog_mod, "_solve_circulant", bad_solver)
+        with pytest.raises(SolverFailure):
+            analog_mod.fit_periodic_cubic(demo_data, GridSpec(9, 0))
+
+    def test_solver_gate_catches_a_nan_solution(self, demo_data, monkeypatch):
+        def nan_solver(diag, rhs):
+            return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(analog_mod, "_solve_circulant", nan_solver)
         with pytest.raises(SolverFailure):
             analog_mod.fit_periodic_cubic(demo_data, GridSpec(9, 0))
 
     def test_solver_gate_catches_a_small_relative_error(self, demo_data, monkeypatch):
         # The limit scales with max|rhs|, yet a solution off by 1e-6 relative
         # still fails it.
-        solve = analog_mod.solve_cyclic_tridiagonal
-        monkeypatch.setattr(
-            analog_mod, "solve_cyclic_tridiagonal", lambda *a: solve(*a) * (1.0 + 1e-6)
-        )
+        solve = analog_mod._solve_circulant
+        monkeypatch.setattr(analog_mod, "_solve_circulant", lambda *a: solve(*a) * (1.0 + 1e-6))
         with pytest.raises(SolverFailure):
             analog_mod.fit_periodic_cubic(demo_data, GridSpec(9, 0))
         with pytest.raises(SolverFailure):
@@ -153,7 +162,7 @@ class TestPeriodicQuadratic:
 
     def test_knot_values_satisfy_cyclic_system(self, demo_data):
         quad = fit_periodic_quadratic(demo_data, GridSpec(9, 1))
-        u = quad.knot_values
+        u = quad.coeffs[:, 0]
         f = demo_data
         lhs = np.roll(u, 1) + 6.0 * u + np.roll(u, -1)
         rhs = 4.0 * (np.roll(f, 1) + f)
@@ -170,6 +179,62 @@ class TestPeriodicQuadratic:
     def test_requires_kind1_grid(self, demo_data):
         with pytest.raises(ValueError):
             fit_periodic_quadratic(demo_data, GridSpec(9, 0))
+
+
+@pytest.mark.parametrize("oracle", FITS)
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=1, max_value=50).map(lambda k: 2 * k + 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_pieces_join_smoothly(oracle, n, seed):
+    # Read off the coefficient table alone: derivative k of row j at s = 1
+    # equals derivative k of row j + 1 at s = 0, for k below the oracle's
+    # smoothness order.
+    fit, kind, order = FITS[oracle]
+    values = np.random.default_rng(seed).uniform(-1e3, 1e3, n)
+    coeffs = fit(values, GridSpec(n, kind)).coeffs
+    for k in range(order):
+        deriv = np.polynomial.polynomial.polyder(coeffs.T, k)
+        np.testing.assert_allclose(
+            deriv.sum(axis=0), np.roll(deriv[0], -1), rtol=0, atol=1e-13 * np.abs(coeffs).max()
+        )
+
+
+@pytest.mark.parametrize("oracle", FITS)
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(min_value=1, max_value=20).map(lambda k: 2 * k + 1),
+    st.data(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_non_finite_data_rejected(oracle, n, data, bad):
+    fit, kind, _ = FITS[oracle]
+    index = data.draw(st.integers(min_value=0, max_value=n - 1))
+    values = np.arange(float(n))
+    values[index] = bad
+    with pytest.raises(ValueError, match=f"data values must be finite, got .* at index {index}$"):
+        fit(values, GridSpec(n, kind))
+
+
+@pytest.mark.parametrize("oracle", FITS)
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=20)
+@given(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=6),
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_non_finite_angles_rejected(oracle, angles, index, bad):
+    fit, kind, _ = FITS[oracle]
+    index = min(index, len(angles))
+    angles.insert(index, bad)
+    analog = fit(np.arange(9.0), GridSpec(9, kind))
+    with pytest.raises(ValueError, match=f"angles must be finite, got .* at index {index}$"):
+        analog(np.array(angles))
+    with pytest.raises(ValueError, match="finite"):
+        analog(bad)
 
 
 class TestMaxDeviation:

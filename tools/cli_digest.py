@@ -21,7 +21,9 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,6 +157,8 @@ ERRORS = [
     ("enumerate", "d9.json", "--r", "-1"),
     ("sample", "d9.json", "--r", "0"),
     ("compare-analog", "d9.json", "--r", "4"),
+    ("compare-analog", "inf.json", "--r", "3"),
+    ("compare-analog", "inf.json", "--r", "2", "--i2", "1"),
     ("verify", "d9.json", "--alpha", "inf"),
     ("factors", "d9.json", "--alpha", "-1"),
     ("factors", "d9.json", "--alpha", "0"),
@@ -189,13 +193,22 @@ class Outcome:
         return hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 def run_one(argv, directory: Path) -> Outcome:
     """Run ``trigsplines`` with ``argv``, whose data and ``--out`` file names
     are taken relative to ``directory``."""
     out_name = argv[argv.index("--out") + 1] if "--out" in argv else None
     resolved = [str(directory / a) if a.endswith((".json", ".csv")) else a for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        # Print each warning once to stderr, as a run on its own does, also
+        # under a test runner that would otherwise record it out of sight.
+        warnings.simplefilter("default")
+        warnings.showwarning = _print_warning
         code = main(resolved)
     out_file = None
     if out_name is not None and (directory / out_name).exists():
