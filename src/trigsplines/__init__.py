@@ -18,31 +18,17 @@ from .analog import (
 from .basis import DEFAULT_FIXED_M, TruncationPolicy, alias_depth, basis_cos, basis_sin
 from .errors import (
     DegenerateVariant,
-    IndexOutOfTable,
     InvalidGrid,
-    NoUsableNode,
     SolverFailure,
     TrigSplineError,
     TruncationNotConverged,
     UnknownElement,
 )
-from .factors import (
-    FactorFamily,
-    custom_table,
-    default_alpha,
-    factor_at,
-    factor_values,
-    sinc_power,
-)
+from .factors import FactorFamily, custom_table, default_alpha, factor_values, sinc_power
 from .grid import GridSpec, nodes
-from .harmonics import HarmonicCoeffs, SampleSet, dft_coeffs, trig_poly_eval
-from .interp_factors import (
-    FactorPair,
-    factor_sums,
-    interp_factors,
-    nodal_factor_oracle,
-)
-from .signs import ELEMENT_NAMES, SignMatrix, enumerate_all, lookup
+from .harmonics import HarmonicCoeffs, SampleSet, dft_coeffs
+from .interp_factors import FactorPair, interp_factors
+from .signs import ELEMENT_NAMES, SignMatrix, lookup
 from .spline import (
     InterpolationReport,
     SplineModel,
@@ -63,10 +49,8 @@ __all__ = [
     "FactorPair",
     "GridSpec",
     "HarmonicCoeffs",
-    "IndexOutOfTable",
     "InterpolationReport",
     "InvalidGrid",
-    "NoUsableNode",
     "PeriodicPolySpline",
     "SampleSet",
     "SignMatrix",
@@ -84,10 +68,7 @@ __all__ = [
     "custom_table",
     "default_alpha",
     "dft_coeffs",
-    "enumerate_all",
     "evaluate",
-    "factor_at",
-    "factor_sums",
     "factor_values",
     "fit_broken_line",
     "fit_periodic_cubic",
@@ -95,10 +76,8 @@ __all__ = [
     "interp_factors",
     "lookup",
     "max_deviation",
-    "nodal_factor_oracle",
     "nodes",
     "sample",
     "sinc_power",
-    "trig_poly_eval",
     "verify_interpolation",
 ]

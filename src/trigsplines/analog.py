@@ -4,7 +4,9 @@ These interpolants are built by completely independent means (piecewise
 polynomials, circulant linear systems) and exist to cross-check the
 trigonometric splines: the r = 1 variant against the periodic broken line,
 the r = 3 variant against the C2 periodic cubic, and the even-degree case
-against a periodic quadratic with knots on the kind-0 grid.
+against a periodic quadratic with knots on the kind-0 grid.  Each fit works
+on the data scaled by :meth:`SampleSet.unit_scaled` and scales its table
+back; an entry beyond the float range raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import SolverFailure
 from .grid import GridSpec, nodes
-from .harmonics import SampleSet
+from .harmonics import SampleSet, _unscaled
 from .spline import SplineModel, _finite_angles, sample
 
 # Largest cyclic-solve residual accepted, relative to max|rhs|.
@@ -77,8 +79,8 @@ class PeriodicPolySpline:
 
 def fit_broken_line(values, grid: GridSpec) -> PeriodicPolySpline:
     """Periodic piecewise-linear interpolant through (t_j, f_j)."""
-    f = SampleSet(values, grid).values
-    return PeriodicPolySpline(grid, np.column_stack((f, np.roll(f, -1) - f)))
+    f, e = SampleSet(values, grid).unit_scaled()
+    return PeriodicPolySpline(grid, _unscaled(np.column_stack((f, np.roll(f, -1) - f)), e))
 
 
 def fit_periodic_cubic(values, grid: GridSpec) -> PeriodicPolySpline:
@@ -89,12 +91,12 @@ def fit_periodic_cubic(values, grid: GridSpec) -> PeriodicPolySpline:
     residual of the solve must stay within 1e-10 of the right-hand side's
     largest entry.
     """
-    f = SampleSet(values, grid).values
+    f, e = SampleSet(values, grid).unit_scaled()
     h2 = grid.spacing**2
     m = _checked_solve(4.0, 6.0 / h2 * (np.roll(f, 1) - 2.0 * f + np.roll(f, -1)))
     f1, m1 = np.roll(f, -1), np.roll(m, -1)
     coeffs = (f, f1 - f - h2 * (2.0 * m + m1) / 6.0, h2 * m / 2.0, h2 * (m1 - m) / 6.0)
-    return PeriodicPolySpline(grid, np.column_stack(coeffs))
+    return PeriodicPolySpline(grid, _unscaled(np.column_stack(coeffs), e))
 
 
 def fit_periodic_quadratic(values, grid: GridSpec) -> PeriodicPolySpline:
@@ -104,13 +106,13 @@ def fit_periodic_quadratic(values, grid: GridSpec) -> PeriodicPolySpline:
     The knot values u_j solve the cyclic system
     u_{j-1} + 6 u_j + u_{j+1} = 4 (f_{j-1} + f_j); the residual is verified.
     """
-    f = SampleSet(values, grid).values
+    f, e = SampleSet(values, grid).unit_scaled()
     if grid.kind != 1:
         raise ValueError("quadratic analog interpolates kind-1 data; pass the kind-1 grid")
     u = _checked_solve(6.0, 4.0 * (np.roll(f, 1) + f))
     u1 = np.roll(u, -1)
     coeffs = (u, 4.0 * f - 3.0 * u - u1, 2.0 * (u + u1) - 4.0 * f)
-    return PeriodicPolySpline(GridSpec(grid.n_nodes, 0), np.column_stack(coeffs))
+    return PeriodicPolySpline(GridSpec(grid.n_nodes, 0), _unscaled(np.column_stack(coeffs), e))
 
 
 def max_deviation(model: SplineModel, analog, n_samples: int) -> float:

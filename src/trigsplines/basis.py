@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGrid, TruncationNotConverged
-from .factors import CUSTOM_TABLE, FactorFamily, factor_values
+from .factors import FactorFamily, factor_values
 
 # Default fixed summation order for families without a tail bound (r = 0).
 DEFAULT_FIXED_M = 10_000
@@ -32,7 +32,7 @@ DEFAULT_FIXED_M = 10_000
 # Fewest alias blocks a tolerance-based truncation sums.
 M_MIN = 4
 
-# Soft cap on the elements of each temporary array.
+# Soft cap on the elements of each temporary array, here and in the spline.
 _CHUNK_ELEMENTS = 1 << 18
 
 
@@ -103,7 +103,7 @@ def alias_depth(family: FactorFamily, n_nodes: int, policy: TruncationPolicy) ->
     half = (n_nodes - 1) // 2
     if policy.fixed_m is not None:
         return policy.fixed_m
-    if family.kind == CUSTOM_TABLE:
+    if family.table is not None:
         return (len(family.table) + half) // n_nodes
     if family.r == 0:
         raise TruncationNotConverged(

@@ -13,10 +13,6 @@ class UnknownElement(TrigSplineError):
     """Sign-distribution label outside A1..D4."""
 
 
-class IndexOutOfTable(TrigSplineError):
-    """Custom factor table queried beyond its stored range."""
-
-
 class TruncationNotConverged(TrigSplineError):
     """Tolerance-based truncation requested for a family with no usable tail bound."""
 
@@ -30,10 +26,6 @@ class DegenerateVariant(TrigSplineError):
         self.which = which
         self.pair = pair
         super().__init__(f"interpolation factor {which}[k={k}] is numerically zero")
-
-
-class NoUsableNode(TrigSplineError):
-    """Every grid node makes the reference harmonic vanish."""
 
 
 class SolverFailure(TrigSplineError):

@@ -1,5 +1,4 @@
-"""Discrete Fourier coefficients of data sampled on a uniform grid, and
-trigonometric-polynomial evaluation.
+"""Discrete Fourier coefficients of data sampled on a uniform grid.
 
 The 2/N normalization is chosen so that the degree-(N-1)/2 trigonometric
 polynomial built from the coefficients reproduces the samples exactly at the
@@ -33,6 +32,12 @@ class SampleSet:
             raise ValueError(f"data values must be finite, got {vals[bad[0]]} at index {bad[0]}")
         object.__setattr__(self, "values", vals)
 
+    def unit_scaled(self) -> tuple[np.ndarray, int]:
+        """The values times 2^-e, and e = :func:`_exponent` of the values, which
+        puts the largest |value| in [1/2, 1).  The scaling is exact."""
+        e = _exponent(self.values)
+        return np.ldexp(self.values, -e), e
+
 
 @dataclass(frozen=True)
 class HarmonicCoeffs:
@@ -55,31 +60,34 @@ class HarmonicCoeffs:
         return len(self.a)
 
 
+def _exponent(x) -> int:
+    """The e with max|x| * 2^-e in [1/2, 1); 0 for zero or empty ``x``."""
+    return int(np.frexp(np.abs(x).max(initial=0.0))[1])
+
+
+def _unscaled(x, e: int):
+    """``x * 2^e``; a result beyond the float range raises ``ValueError``."""
+    if _exponent(x) + e > 1024:
+        raise ValueError("result exceeds the float range: data too close to the float maximum")
+    return np.ldexp(x, e)
+
+
 def dft_coeffs(samples: SampleSet) -> HarmonicCoeffs:
     """Discrete Fourier coefficients of the sampled data.
 
     a0 = (2/N) sum f_j,  a_k = (2/N) sum f_j cos(k t_j),
     b_k = (2/N) sum f_j sin(k t_j), with t_j the nodes of ``samples.grid``.
     One real FFT gives sum f_j e^{-2*pi*ijk/N}; the kind-1 grid's half-spacing
-    shift multiplies harmonic k by e^{-ik*pi/N}.
+    shift multiplies harmonic k by e^{-ik*pi/N}.  The FFT runs on the data
+    scaled by :meth:`SampleSet.unit_scaled`, so it cannot overflow; a
+    coefficient beyond the float range raises ``ValueError``.
     """
-    f = samples.values
+    f, e = samples.unit_scaled()
     n_nodes = samples.grid.n_nodes
     k = np.arange(1, samples.grid.n_harmonics + 1)
     scale = 2.0 / n_nodes
     spectrum = np.fft.rfft(f)[k]
     if samples.grid.kind == 1:
         spectrum = spectrum * np.exp(-1j * np.pi * k / n_nodes)
-    return HarmonicCoeffs(a0=scale * float(f.sum()), a=scale * spectrum.real, b=-scale * spectrum.imag)
-
-
-def trig_poly_eval(coeffs: HarmonicCoeffs, t):
-    """Evaluate a0/2 + sum_k (a_k cos(kt) + b_k sin(kt)).
-
-    Accepts a scalar or an array of angles; returns a float or an array of
-    the angles' shape.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    kt = np.multiply.outer(t_arr, np.arange(1, coeffs.n_harmonics + 1))
-    out = coeffs.a0 / 2.0 + np.cos(kt) @ coeffs.a + np.sin(kt) @ coeffs.b
-    return float(out) if t_arr.ndim == 0 else out
+    c = _unscaled(np.concatenate(([scale * f.sum()], scale * spectrum.real, -scale * spectrum.imag)), e)
+    return HarmonicCoeffs(a0=float(c[0]), a=c[1 : len(k) + 1], b=c[len(k) + 1 :])

@@ -22,19 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TruncationPolicy, alias_grid, basis_cos, basis_sin
-from .errors import DegenerateVariant, NoUsableNode
+from .basis import TruncationPolicy, alias_grid
+from .errors import DegenerateVariant
 from .factors import FactorFamily
-from .grid import GridSpec, nodes
 from .signs import SignMatrix
 
 # A factor this small relative to v_k means the variant's spline divides by
 # (numerically) zero at that harmonic.
 DEGENERACY_RTOL = 1e-10
-
-# Reference harmonics smaller than this at every node are unusable for the
-# nodal oracle.
-_MIN_REFERENCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -70,19 +65,6 @@ def nodal_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> Fact
     )
 
 
-def factor_sums(
-    family: FactorFamily,
-    signs: SignMatrix,
-    i1: int,
-    i2: int,
-    n_nodes: int,
-    policy: TruncationPolicy,
-) -> FactorPair:
-    """Raw hc/hs values without the degeneracy gate (classification sweeps
-    need to see the near-zero entries)."""
-    return nodal_factors(alias_grid(family, n_nodes, policy), signs, i1, i2)
-
-
 def gated_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> FactorPair:
     """:func:`nodal_factors` behind the degeneracy gate, which reads each v_k
     off row 0 of the grid.
@@ -116,36 +98,3 @@ def interp_factors(
     ``DegenerateVariant``)."""
     return gated_factors(alias_grid(family, n_nodes, policy), signs, i1, i2)
 
-
-def nodal_factor_oracle(
-    family: FactorFamily,
-    signs: SignMatrix,
-    i1: int,
-    grid: GridSpec,
-    k: int,
-    policy: TruncationPolicy,
-) -> tuple[float, float]:
-    """Independent factor measurement through the defining nodal property.
-
-    Picks an interpolation-grid node where the reference harmonic is bounded
-    away from zero and returns basis_cos(t_j)/cos(k t_j) and
-    basis_sin(t_j)/sin(k t_j).  The grid's kind is the interpolation index I2.
-
-    Raises
-    ------
-    NoUsableNode
-        If every node makes cos(k t_j) (or sin(k t_j)) vanish.
-    """
-    t = nodes(grid)
-    ref_cos = np.cos(k * t)
-    ref_sin = np.sin(k * t)
-    jc = int(np.argmax(np.abs(ref_cos)))
-    js = int(np.argmax(np.abs(ref_sin)))
-    if abs(ref_cos[jc]) < _MIN_REFERENCE:
-        raise NoUsableNode(f"|cos({k} t_j)| < {_MIN_REFERENCE} at every node")
-    if abs(ref_sin[js]) < _MIN_REFERENCE:
-        raise NoUsableNode(f"|sin({k} t_j)| < {_MIN_REFERENCE} at every node")
-
-    hc = basis_cos(family, signs, i1, grid.n_nodes, k, float(t[jc]), policy) / ref_cos[jc]
-    hs = basis_sin(family, signs, i1, grid.n_nodes, k, float(t[js]), policy) / ref_sin[js]
-    return float(hc), float(hs)

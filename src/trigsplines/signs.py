@@ -65,7 +65,3 @@ def lookup(name: str) -> SignMatrix:
         raise UnknownElement(f"unknown sign element {name!r}; expected one of A1..D4") from None
     return SignMatrix(name=name, cos_outer=co, cos_inner=ci, sin_outer=so, sin_inner=si)
 
-
-def enumerate_all() -> list[SignMatrix]:
-    """All 16 elements in row-major table order A1, A2, ..., D4."""
-    return [lookup(name) for name in ELEMENT_NAMES]

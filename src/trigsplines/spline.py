@@ -20,15 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TruncationPolicy, alias_grid
+from .basis import _CHUNK_ELEMENTS, TruncationPolicy, alias_grid
 from .factors import FactorFamily
 from .grid import GridSpec, nodes
-from .harmonics import HarmonicCoeffs, SampleSet, dft_coeffs
+from .harmonics import HarmonicCoeffs, SampleSet, _exponent, _unscaled, dft_coeffs
 from .interp_factors import FactorPair, gated_factors
 from .signs import SignMatrix
-
-# Soft cap on the complex elements of each evaluate temporary.
-_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,9 +67,9 @@ class SplineModel:
 
     ``spectrum`` is the complex (M + 1) x N grid of the series
     coefficients c_j, j = m*N + q, with the build's one alias depth M, laid
-    out like
-    :func:`trigsplines.basis.alias_grid`; the spline is Re sum_j c_j e^{ijt}.
-    It takes 16 bytes per alias term.
+    out like :func:`trigsplines.basis.alias_grid`; the spline is
+    2^exponent * Re sum_j c_j e^{ijt}, ``exponent`` that of the largest |f_j|
+    (so no c_j overflows).  It takes 16 bytes per alias term.
     """
 
     spec: SplineSpec
@@ -80,6 +77,7 @@ class SplineModel:
     factors: FactorPair
     source: SampleSet
     spectrum: np.ndarray
+    exponent: int
 
     def __call__(self, t):
         return evaluate(self, t)
@@ -103,10 +101,11 @@ def assemble(values, spec: SplineSpec, grid: np.ndarray) -> SplineModel:
     """
     factors = gated_factors(grid, spec.signs, spec.i1, spec.i2)
     samples = SampleSet(values=np.asarray(values, dtype=float), grid=GridSpec(spec.n_nodes, spec.i2))
-    coeffs = dft_coeffs(samples)
+    coeffs, e = dft_coeffs(samples), _exponent(samples.values)
     n, s = spec.n_harmonics, spec.signs
-    w_cos = coeffs.a / factors.hc
-    w_sin = coeffs.b / factors.hs
+    # In units of 2^e: a_k / hc_k overflows for data near the float maximum.
+    w_cos = np.ldexp(coeffs.a, -e) / factors.hc
+    w_sin = np.ldexp(coeffs.b, -e) / factors.hs
     # Re(c e^{ijt}) = x cos(jt) + y sin(jt) for c = x - iy.
     plus = s.cos_outer * w_cos - 1j * s.sin_outer * w_sin
     minus = s.cos_outer * s.cos_inner * w_cos - 1j * s.sin_outer * s.sin_inner * w_sin
@@ -116,8 +115,8 @@ def assemble(values, spec: SplineSpec, grid: np.ndarray) -> SplineModel:
     if spec.i1:
         spectrum[1::2] *= -1.0
     spectrum[0, 1 : n + 1] = grid[0, 1 : n + 1] * (w_cos - 1j * w_sin)
-    spectrum[0, 0] = coeffs.a0 / 2.0
-    return SplineModel(spec=spec, coeffs=coeffs, factors=factors, source=samples, spectrum=spectrum)
+    spectrum[0, 0] = np.ldexp(coeffs.a0, -e) / 2.0
+    return SplineModel(spec, coeffs, factors, samples, spectrum, e)
 
 
 def _finite_angles(t) -> np.ndarray:
@@ -146,9 +145,9 @@ def evaluate(model: SplineModel, t):
     With j = m*N + q the series factorises as
     Re sum_q e^{iqt} sum_m e^{imNt} c_{mN+q}: one matrix product over the
     spectrum per batch of points.  Angles are reduced modulo 2*pi first, which
-    leaves those in [0, 2*pi) unchanged; a NaN or infinite angle raises
-    ``ValueError``.  Returns a float for a scalar angle, else an array of the
-    angles' shape.
+    leaves those in [0, 2*pi) unchanged; a NaN or infinite angle, or a value
+    beyond the float range, raises ``ValueError``.  Returns a float for a
+    scalar angle, else an array of the angles' shape.
     """
     t_arr = _finite_angles(t)
     tt = np.mod(t_arr.ravel(), 2.0 * np.pi)
@@ -161,19 +160,20 @@ def evaluate(model: SplineModel, t):
         # BLAS worker threads, which then spin and slow the caller's next work.
         inner = np.einsum("pm,mq->pq", _powers(ts, n_nodes, rows), model.spectrum)
         out[start : start + step] = np.einsum("pq,pq->p", inner, _powers(ts, 1, n_nodes)).real
+    out = _unscaled(out, model.exponent)
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def sample(model: SplineModel, count: int) -> np.ndarray:
-    """Spline values at ``count`` equispaced angles t_i = 2*pi*i/count.
-
-    Returns an array of shape (count, 2) whose rows are (t, value).
+    """Spline values at ``count`` equispaced angles t_i = 2*pi*i/count, as an
+    array of shape (count, 2) whose rows are (t, value).
 
     On an equispaced output grid the series folds exactly: e^{ij t_i} depends
     only on j mod count, so every coefficient c_j is added into its residue
     bucket and one inverse FFT of length ``count`` finishes the sum, in
     O(M*N + count*log(count)).  The result is the same truncated series as
-    :func:`evaluate`, summed in a different order.
+    :func:`evaluate`, summed in a different order; a value beyond the float
+    range raises ``ValueError``.
     """
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
@@ -185,8 +185,8 @@ def sample(model: SplineModel, count: int) -> np.ndarray:
         residue = (np.add.outer(qs, n_nodes * np.arange(rows)) % count).ravel()
         coef = model.spectrum[:, qs].T.ravel()
         folded += np.bincount(residue, coef.real, count) + 1j * np.bincount(residue, coef.imag, count)
-    angles = 2.0 * np.pi * np.arange(count) / count
-    return np.column_stack((angles, np.fft.ifft(folded, norm="forward").real))
+    values = _unscaled(np.fft.ifft(folded, norm="forward").real, model.exponent)
+    return np.column_stack((2.0 * np.pi * np.arange(count) / count, values))
 
 
 @dataclass(frozen=True)

@@ -19,22 +19,20 @@ from trigsplines import (
     custom_table,
     default_alpha,
     dft_coeffs,
-    enumerate_all,
     evaluate,
-    factor_sums,
     fit_broken_line,
     fit_periodic_cubic,
     interp_factors,
     lookup,
     max_deviation,
-    nodal_factor_oracle,
     nodes,
     sample,
     sinc_power,
-    trig_poly_eval,
     verify_interpolation,
 )
 from trigsplines.cli import main as cli_main
+
+from reference import enumerate_all, factor_sums, nodal_factor_oracle, trig_poly_eval
 
 DATA = np.array([3.0, 1.0, 3.0, 2.0, 4.0, 1.0, 3.0, 1.0, 2.0])
 N = 9

@@ -237,6 +237,29 @@ def test_non_finite_angles_rejected(oracle, angles, index, bad):
         analog(bad)
 
 
+@pytest.mark.parametrize("oracle", FITS)
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(min_value=1, max_value=20).map(lambda k: 2 * k + 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=-1000, max_value=1018),
+)
+def test_power_of_two_scaled_data_scale_the_table_exactly(oracle, n, seed, e):
+    fit, kind, _ = FITS[oracle]
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    table = fit(values, GridSpec(n, kind)).coeffs
+    np.testing.assert_array_equal(fit(np.ldexp(values, e), GridSpec(n, kind)).coeffs,
+                                  np.ldexp(table, e))
+
+
+@pytest.mark.filterwarnings("error")
+def test_table_beyond_the_float_range_raises_value_error():
+    # The broken line's slope column f[j+1] - f[j] is -2e308 here.
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        fit_broken_line([1e308, -1e308, 1e308, -1e308, 1e308], GridSpec(5, 0))
+
+
 class TestMaxDeviation:
     def test_model_against_itself_is_zero(self, demo_data):
         from trigsplines import evaluate

@@ -1,0 +1,61 @@
+"""The public surface: the README's library example, ``__all__``, and the
+one-of rule of :class:`trigsplines.FactorFamily`."""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import trigsplines
+from trigsplines import FactorFamily
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Test references that live in tests/reference.py, and names that are gone.
+NOT_EXPORTED = ("factor_at", "factor_sums", "nodal_factor_oracle", "trig_poly_eval",
+                "enumerate_all", "IndexOutOfTable", "NoUsableNode")
+
+
+def test_readme_library_usage_runs_as_written(capsys):
+    section = README.read_text().split("## Library usage", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {})
+    residual, value = capsys.readouterr().out.split()
+    assert float(residual) < 1e-13 and math.isfinite(float(value))
+
+
+def test_every_exported_name_resolves():
+    assert len(set(trigsplines.__all__)) == len(trigsplines.__all__)
+    for name in trigsplines.__all__:
+        assert getattr(trigsplines, name) is not None, name
+
+
+@pytest.mark.parametrize("name", NOT_EXPORTED)
+def test_test_references_and_removed_names_are_not_exported(name):
+    assert name not in trigsplines.__all__
+    assert not hasattr(trigsplines, name)
+
+
+def test_factor_family_has_no_kind():
+    family = trigsplines.sinc_power(3, 0.5)
+    assert not hasattr(family, "kind")
+    assert (family.alpha, family.table) == (0.5, None)
+    table = trigsplines.custom_table([0.5, 0.25], r=1)
+    assert (table.alpha, table.table) == (None, (0.5, 0.25))
+
+
+@given(
+    st.integers(min_value=0, max_value=50),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=8),
+)
+def test_factor_family_takes_exactly_one_of_alpha_and_table(r, alpha, table):
+    with pytest.raises(ValueError, match="exactly one of alpha and table"):
+        FactorFamily(r, alpha=alpha, table=table)
+    with pytest.raises(ValueError, match="exactly one of alpha and table"):
+        FactorFamily(r)
+    assert FactorFamily(r, alpha=alpha).alpha == alpha
+    assert FactorFamily(r, table=table).table == tuple(table)

@@ -15,13 +15,14 @@ from trigsplines import (
     basis_sin,
     custom_table,
     default_alpha,
-    enumerate_all,
     interp_factors,
     lookup,
     nodes,
     sinc_power,
 )
 from trigsplines.basis import M_MIN, _tail_bound
+
+from reference import enumerate_all
 
 ALPHA9 = default_alpha(9)
 A1 = lookup("A1")

@@ -7,12 +7,13 @@ import pytest
 from trigsplines import (
     DegenerateVariant,
     TruncationPolicy,
-    factor_sums,
     interp_factors,
     lookup,
     sinc_power,
 )
 from trigsplines.cli import main
+
+from reference import factor_sums
 
 DEMO = [3, 1, 3, 2, 4, 1, 3, 1, 2]
 
@@ -256,6 +257,34 @@ def test_non_finite_angle_rejected_with_one_line(capsys, data_file):
     code, out, err = run(capsys, "build-eval", data_file, "--r", "3", "--at", "0.5,nan,inf")
     assert code == 1 and out == ""
     assert err == "ValueError: angles must be finite, got nan at index 1\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, extra", [
+    ("verify", ["--r", "3"]),
+    ("coeffs", []),
+    ("sample", ["--r", "3", "--samples", "16"]),
+    ("build-eval", ["--r", "3", "--at", "0,0.5,1"]),
+])
+def test_data_near_the_float_maximum_give_finite_rows(tmp_path, capsys, command, extra):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"values": [1e308, -1e308, 1e308, -1e308, 1e308]}))
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 0 and err == ""
+    cells = [c for line in out.splitlines() if not line.startswith("#") for c in line.split(",")]
+    assert all(math.isfinite(float(c)) for c in cells)
+    if command == "verify":
+        assert float(out.splitlines()[-1].split("=")[1]) <= 1e-14 * 1e308
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_beyond_the_float_range_fails_with_one_line(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"values": [1e308, -1e308, 1e308, -1e308, 1e308]}))
+    code, out, err = run(capsys, "compare-analog", str(path), "--r", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("ValueError:") and "float range" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, error", [

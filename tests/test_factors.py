@@ -5,20 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trigsplines import (
-    IndexOutOfTable,
-    custom_table,
-    default_alpha,
-    factor_at,
-    factor_values,
-    sinc_power,
-)
+from trigsplines import custom_table, default_alpha, factor_values, sinc_power
 from trigsplines.basis import _tail_bound
 
 ALPHA9 = default_alpha(9)
 
 # sin(pi/9), frozen from independent evaluation.
 SIN_PI_OVER_9 = 0.3420201433256687
+
+
+def factor_at(family, k):
+    """The factor v_k at one positive index k."""
+    return float(factor_values(family, np.array([k]))[0])
 
 
 def brute_alias_tail(r, n_nodes, k, m_from, m_to):
@@ -56,17 +54,6 @@ def test_sinc_power_even_r_can_go_negative():
     assert factor_at(fam, 10) < 0.0
 
 
-def test_factor_values_matches_factor_at():
-    for fam in (
-        sinc_power(2, ALPHA9),
-        sinc_power(1, 0.3),
-        custom_table(np.linspace(1.0, -1.0, 39) / np.arange(1, 40), r=1),
-    ):
-        vals = factor_values(fam, np.arange(1, 40))
-        for k in (1, 5, 17, 39):
-            assert vals[k - 1] == factor_at(fam, k)
-
-
 @given(
     p=st.integers(min_value=1, max_value=4),
     r=st.integers(min_value=0, max_value=6),
@@ -77,20 +64,10 @@ def test_sinc_power_is_exactly_zero_where_the_sine_vanishes(p, r, j):
     assert factor_values(sinc_power(r, 2.0 * math.pi * p), np.array([j]))[0] == 0.0
 
 
-def test_k_below_one_rejected():
-    with pytest.raises(ValueError):
-        factor_at(sinc_power(1, ALPHA9), 0)
-
-
 class TestCustomTable:
     def test_returns_stored_entries(self):
         fam = custom_table([0.5, 0.25, 0.125], r=1)
         assert factor_at(fam, 2) == 0.25
-
-    def test_beyond_range_raises(self):
-        fam = custom_table([0.5, 0.25], r=1)
-        with pytest.raises(IndexOutOfTable):
-            factor_at(fam, 3)
 
     def test_series_view_zero_extends(self):
         fam = custom_table([0.5, 0.25], r=1)

@@ -8,8 +8,9 @@ from trigsplines import (
     SampleSet,
     dft_coeffs,
     nodes,
-    trig_poly_eval,
 )
+
+from reference import trig_poly_eval
 
 
 def solve_interpolation_system(values, grid):
@@ -128,3 +129,32 @@ def test_fft_coeffs_match_direct_sum(n, kind, seed):
 def test_sample_length_mismatch_rejected():
     with pytest.raises(ValueError):
         SampleSet(values=np.ones(5), grid=GridSpec(9, 0))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=50).map(lambda m: 2 * m + 1),
+    st.sampled_from([0, 1]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=-1000, max_value=1020),
+)
+def test_power_of_two_scaled_data_scale_the_coefficients_exactly(n, kind, seed, e):
+    grid = GridSpec(n, kind)
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+    c = dft_coeffs(SampleSet(values=values, grid=grid))
+    scaled = dft_coeffs(SampleSet(values=np.ldexp(values, e), grid=grid))
+    assert scaled.a0 == np.ldexp(c.a0, e)
+    np.testing.assert_array_equal(scaled.a, np.ldexp(c.a, e))
+    np.testing.assert_array_equal(scaled.b, np.ldexp(c.b, e))
+
+
+@pytest.mark.filterwarnings("error")
+def test_coefficients_beyond_the_float_range_raise_value_error():
+    grid = GridSpec(5, 0)
+    near_max = dft_coeffs(SampleSet(values=np.array([1e308, -1e308, 1e308, -1e308, 1e308]), grid=grid))
+    assert np.isfinite(near_max.a).all() and np.isfinite(near_max.b).all()
+    assert near_max.a0 == pytest.approx(0.4e308)
+    # a0 is twice the mean, 3.4e308.
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        dft_coeffs(SampleSet(values=np.full(5, 1.7e308), grid=grid))

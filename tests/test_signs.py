@@ -1,6 +1,8 @@
 import pytest
 
-from trigsplines import ELEMENT_NAMES, UnknownElement, enumerate_all, lookup
+from trigsplines import ELEMENT_NAMES, UnknownElement, lookup
+
+from reference import enumerate_all
 
 # Independent transcription of the full sign table:
 # (cos_outer, cos_inner, sin_outer, sin_inner).

@@ -16,17 +16,16 @@ from trigsplines import (
     build,
     custom_table,
     default_alpha,
-    enumerate_all,
     evaluate,
-    factor_sums,
     fit_periodic_cubic,
     lookup,
     nodes,
     sample,
     sinc_power,
-    trig_poly_eval,
     verify_interpolation,
 )
+
+from reference import enumerate_all, factor_sums, trig_poly_eval
 
 A1 = lookup("A1")
 FAST = TruncationPolicy(m_max=300)
@@ -99,6 +98,48 @@ def test_non_finite_angles_rejected(angles, index, bad):
         evaluate(model, np.array(angles))
     with pytest.raises(ValueError, match="finite"):
         evaluate(model, bad)
+
+
+# Data near the float maximum: alternating +-1e308 on five nodes.
+NEAR_MAX = [1e308, -1e308, 1e308, -1e308, 1e308]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0).filter(lambda x: x == 0 or abs(x) > 1e-6),
+             min_size=9, max_size=9),
+    st.integers(min_value=-900, max_value=1020),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from(GRID_PAIRS),
+)
+@example([1.0, -1.0] * 4 + [1.0], 1020, 3, (0, 0))
+@example([0.0] * 9, -900, 1, (1, 0))
+def test_power_of_two_scaled_data_scale_the_spline_exactly(values, e, r, pair):
+    # 2^e * f builds the same series as f, scaled by 2^e: bit for bit, for any
+    # e that keeps the data and the spline inside the float range.
+    spec = make_spec(r, 9, *pair)
+    base, scaled = build(values, spec), build(np.ldexp(values, e), spec)
+    t = np.linspace(-1.0, 7.0, 33)
+    np.testing.assert_array_equal(evaluate(scaled, t), np.ldexp(evaluate(base, t), e))
+    np.testing.assert_array_equal(sample(scaled, 48)[:, 1], np.ldexp(sample(base, 48)[:, 1], e))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [1, 3])
+def test_data_near_the_float_maximum_build_finite(r):
+    model = build(NEAR_MAX, make_spec(r, 5))
+    report = verify_interpolation(model)
+    assert report.max_residual <= 1e-14 * 1e308
+    assert np.isfinite(sample(model, 64)).all()
+    assert np.isfinite(evaluate(model, np.linspace(0.0, 6.0, 61))).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_results_beyond_the_float_range_raise_one_value_error():
+    # The data are finite, but the coefficient b_2 is about 2.1e308.
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        build(np.multiply(NEAR_MAX, 1.7), make_spec(3, 5))
 
 
 def test_degenerate_variant_does_not_build():

@@ -41,6 +41,7 @@ DATA = {
     "nan.json": '{"values": [1, 2, NaN, 4, 5]}',
     "inf.json": '{"values": [1, 2, Infinity, 4, 5]}',
     "ninf.json": '{"values": [1, -Infinity, 3]}',
+    "big.json": json.dumps({"values": [1e308, -1e308, 1e308, -1e308, 1e308]}),
     "novalues.json": json.dumps({"data": [1, 2, 3]}),
     "text.csv": "1\n2\nthree\n",
 }
@@ -141,6 +142,11 @@ MATRIX = [
     ("compare-analog", "d9.json", "--r", "3", "--samples", "64", "--out", "analog.csv"),
     ("compare-analog", "d9.csv", "--r", "3", "--sign", "B1", "--samples", "64"),
     ("compare-analog", "d21.json", "--r", "3", "--samples", "128"),
+    # Data near the float maximum: finite rows, no warning.
+    ("verify", "big.json", "--r", "3"),
+    ("coeffs", "big.json"),
+    ("sample", "big.json", "--r", "3", "--samples", "16"),
+    ("build-eval", "big.json", "--r", "3", "--at", "0,0.5,1"),
 ]
 
 # Single-fault invocations: each should exit 1 with one stderr line.
@@ -176,6 +182,8 @@ ERRORS = [
     ("verify", "d9.json", "--r", "3", "--alpha", repr(2.0 * math.pi)),
     ("factors", "d9.json", "--r", "2", "--alpha", repr(4.0 * math.pi)),
     ("verify", "d9.json", "--r", "3", "--alpha", repr(4.0 * math.pi / 3.0)),
+    # The broken line's slope column overflows.
+    ("compare-analog", "big.json", "--r", "1"),
 ]
 
 
