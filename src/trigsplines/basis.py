@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrid, TruncationNotConverged
+from .errors import TruncationNotConverged
 from .factors import FactorFamily, factor_values
+from .grid import GridSpec
 
 # Default fixed summation order for families without a tail bound (r = 0).
 DEFAULT_FIXED_M = 10_000
@@ -68,9 +69,7 @@ class TruncationPolicy:
 
 
 def _check_harmonic(n_nodes: int, k: int) -> None:
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise InvalidGrid(f"n_nodes must be odd and >= 3, got {n_nodes}")
-    half = (n_nodes - 1) // 2
+    half = GridSpec(n_nodes).n_harmonics
     if not 1 <= k <= half:
         raise ValueError(f"k must be in [1, {half}], got {k}")
 
@@ -99,8 +98,7 @@ def alias_depth(family: FactorFamily, n_nodes: int, policy: TruncationPolicy) ->
         For the sinc-power family with r = 0 (no tail bound) when no
         ``fixed_m`` was requested.
     """
-    _check_harmonic(n_nodes, 1)
-    half = (n_nodes - 1) // 2
+    half = GridSpec(n_nodes).n_harmonics
     if policy.fixed_m is not None:
         return policy.fixed_m
     if family.table is not None:

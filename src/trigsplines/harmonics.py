@@ -7,6 +7,7 @@ grid nodes (odd N).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,6 @@ class HarmonicCoeffs:
     a: np.ndarray
     b: np.ndarray
 
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("a and b must be 1-D arrays of equal length")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
     @property
     def n_harmonics(self) -> int:
         return len(self.a)
@@ -62,7 +55,7 @@ class HarmonicCoeffs:
 
 def _exponent(x) -> int:
     """The e with max|x| * 2^-e in [1/2, 1); 0 for zero or empty ``x``."""
-    return int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    return math.frexp(float(np.abs(x).max(initial=0.0)))[1]
 
 
 def _unscaled(x, e: int):
@@ -72,16 +65,11 @@ def _unscaled(x, e: int):
     return np.ldexp(x, e)
 
 
-def dft_coeffs(samples: SampleSet) -> HarmonicCoeffs:
-    """Discrete Fourier coefficients of the sampled data.
-
-    a0 = (2/N) sum f_j,  a_k = (2/N) sum f_j cos(k t_j),
-    b_k = (2/N) sum f_j sin(k t_j), with t_j the nodes of ``samples.grid``.
-    One real FFT gives sum f_j e^{-2*pi*ijk/N}; the kind-1 grid's half-spacing
-    shift multiplies harmonic k by e^{-ik*pi/N}.  The FFT runs on the data
-    scaled by :meth:`SampleSet.unit_scaled`, so it cannot overflow; a
-    coefficient beyond the float range raises ``ValueError``.
-    """
+def _unit_coeffs(samples: SampleSet) -> tuple[np.ndarray, int]:
+    """[a0, a_1..a_n, b_1..b_n] of the data scaled by
+    :meth:`SampleSet.unit_scaled`, and its e: the coefficients are these
+    times 2^e.  One real FFT gives sum f_j e^{-2*pi*ijk/N}; the kind-1 grid's
+    half-spacing shift multiplies harmonic k by e^{-ik*pi/N}."""
     f, e = samples.unit_scaled()
     n_nodes = samples.grid.n_nodes
     k = np.arange(1, samples.grid.n_harmonics + 1)
@@ -89,5 +77,22 @@ def dft_coeffs(samples: SampleSet) -> HarmonicCoeffs:
     spectrum = np.fft.rfft(f)[k]
     if samples.grid.kind == 1:
         spectrum = spectrum * np.exp(-1j * np.pi * k / n_nodes)
-    c = _unscaled(np.concatenate(([scale * f.sum()], scale * spectrum.real, -scale * spectrum.imag)), e)
-    return HarmonicCoeffs(a0=float(c[0]), a=c[1 : len(k) + 1], b=c[len(k) + 1 :])
+    return np.concatenate(([scale * f.sum()], scale * spectrum.real, -scale * spectrum.imag)), e
+
+
+def _coeffs(unit: np.ndarray, e: int) -> HarmonicCoeffs:
+    """The coefficients ``unit * 2^e``; one beyond the float range raises
+    ``ValueError``."""
+    c, n = _unscaled(unit, e), len(unit) // 2
+    return HarmonicCoeffs(a0=float(c[0]), a=c[1 : n + 1], b=c[n + 1 :])
+
+
+def dft_coeffs(samples: SampleSet) -> HarmonicCoeffs:
+    """Discrete Fourier coefficients of the sampled data.
+
+    a0 = (2/N) sum f_j,  a_k = (2/N) sum f_j cos(k t_j),
+    b_k = (2/N) sum f_j sin(k t_j), with t_j the nodes of ``samples.grid``,
+    computed on the unit-scaled data (:func:`_unit_coeffs`) so the FFT cannot
+    overflow; a coefficient beyond the float range raises ``ValueError``.
+    """
+    return _coeffs(*_unit_coeffs(samples))

@@ -39,14 +39,6 @@ class FactorPair:
     hc: np.ndarray
     hs: np.ndarray
 
-    def __post_init__(self):
-        hc = np.asarray(self.hc, dtype=float)
-        hs = np.asarray(self.hs, dtype=float)
-        if hc.shape != hs.shape or hc.ndim != 1:
-            raise ValueError("hc and hs must be 1-D arrays of equal length")
-        object.__setattr__(self, "hc", hc)
-        object.__setattr__(self, "hs", hs)
-
 
 def nodal_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> FactorPair:
     """hc/hs of one variant from its :func:`trigsplines.basis.alias_grid`,

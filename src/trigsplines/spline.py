@@ -23,7 +23,7 @@ import numpy as np
 from .basis import _CHUNK_ELEMENTS, TruncationPolicy, alias_grid
 from .factors import FactorFamily
 from .grid import GridSpec, nodes
-from .harmonics import HarmonicCoeffs, SampleSet, _exponent, _unscaled, dft_coeffs
+from .harmonics import HarmonicCoeffs, SampleSet, _coeffs, _unit_coeffs, _unscaled
 from .interp_factors import FactorPair, gated_factors
 from .signs import SignMatrix
 
@@ -101,11 +101,12 @@ def assemble(values, spec: SplineSpec, grid: np.ndarray) -> SplineModel:
     """
     factors = gated_factors(grid, spec.signs, spec.i1, spec.i2)
     samples = SampleSet(values=np.asarray(values, dtype=float), grid=GridSpec(spec.n_nodes, spec.i2))
-    coeffs, e = dft_coeffs(samples), _exponent(samples.values)
+    unit, e = _unit_coeffs(samples)
+    coeffs = _coeffs(unit, e)
     n, s = spec.n_harmonics, spec.signs
     # In units of 2^e: a_k / hc_k overflows for data near the float maximum.
-    w_cos = np.ldexp(coeffs.a, -e) / factors.hc
-    w_sin = np.ldexp(coeffs.b, -e) / factors.hs
+    w_cos = unit[1 : n + 1] / factors.hc
+    w_sin = unit[n + 1 :] / factors.hs
     # Re(c e^{ijt}) = x cos(jt) + y sin(jt) for c = x - iy.
     plus = s.cos_outer * w_cos - 1j * s.sin_outer * w_sin
     minus = s.cos_outer * s.cos_inner * w_cos - 1j * s.sin_outer * s.sin_inner * w_sin
@@ -115,7 +116,7 @@ def assemble(values, spec: SplineSpec, grid: np.ndarray) -> SplineModel:
     if spec.i1:
         spectrum[1::2] *= -1.0
     spectrum[0, 1 : n + 1] = grid[0, 1 : n + 1] * (w_cos - 1j * w_sin)
-    spectrum[0, 0] = np.ldexp(coeffs.a0, -e) / 2.0
+    spectrum[0, 0] = unit[0] / 2.0
     return SplineModel(spec, coeffs, factors, samples, spectrum, e)
 
 
@@ -204,8 +205,7 @@ def verify_interpolation(model: SplineModel) -> InterpolationReport:
     Reports only; no threshold is asserted here (r = 0 fixed-order models are
     legitimate callers).
     """
-    grid = GridSpec(model.spec.n_nodes, model.spec.i2)
-    t = nodes(grid)
+    t = nodes(model.source.grid)
     residuals = evaluate(model, t) - model.source.values
     return InterpolationReport(
         max_residual=float(np.abs(residuals).max()),

@@ -22,6 +22,8 @@ from trigsplines import (
     SplineSpec,
 )
 
+from conftest import warnings_as_errors
+
 # Each oracle's fit, the grid kind of its data and the number of derivatives
 # (counting the value) that agree across every knot.
 FITS = {
@@ -202,7 +204,7 @@ def test_pieces_join_smoothly(oracle, n, seed):
 
 
 @pytest.mark.parametrize("oracle", FITS)
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 @settings(deadline=None, max_examples=20)
 @given(
     st.integers(min_value=1, max_value=20).map(lambda k: 2 * k + 1),
@@ -219,7 +221,7 @@ def test_non_finite_data_rejected(oracle, n, data, bad):
 
 
 @pytest.mark.parametrize("oracle", FITS)
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 @settings(deadline=None, max_examples=20)
 @given(
     st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=6),
@@ -238,7 +240,7 @@ def test_non_finite_angles_rejected(oracle, angles, index, bad):
 
 
 @pytest.mark.parametrize("oracle", FITS)
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 @settings(deadline=None, max_examples=20)
 @given(
     st.integers(min_value=1, max_value=20).map(lambda k: 2 * k + 1),
@@ -253,7 +255,7 @@ def test_power_of_two_scaled_data_scale_the_table_exactly(oracle, n, seed, e):
                                   np.ldexp(table, e))
 
 
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 def test_table_beyond_the_float_range_raises_value_error():
     # The broken line's slope column f[j+1] - f[j] is -2e308 here.
     with pytest.raises(ValueError, match="exceeds the float range"):

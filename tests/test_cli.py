@@ -13,6 +13,7 @@ from trigsplines import (
 )
 from trigsplines.cli import main
 
+from conftest import warnings_as_errors
 from reference import factor_sums
 
 DEMO = [3, 1, 3, 2, 4, 1, 3, 1, 2]
@@ -233,7 +234,7 @@ def test_missing_file(capsys):
     assert code == 1
 
 
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 def test_infinite_alpha_rejected_with_one_line(capsys, data_file):
     code, out, err = run(capsys, "verify", data_file, "--alpha", "inf")
     assert code == 1 and out == ""
@@ -252,14 +253,14 @@ def test_non_finite_data_rejected_with_one_line(tmp_path, capsys, command, bad):
     assert err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 def test_non_finite_angle_rejected_with_one_line(capsys, data_file):
     code, out, err = run(capsys, "build-eval", data_file, "--r", "3", "--at", "0.5,nan,inf")
     assert code == 1 and out == ""
     assert err == "ValueError: angles must be finite, got nan at index 1\n"
 
 
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 @pytest.mark.parametrize("command, extra", [
     ("verify", ["--r", "3"]),
     ("coeffs", []),
@@ -277,7 +278,7 @@ def test_data_near_the_float_maximum_give_finite_rows(tmp_path, capsys, command,
         assert float(out.splitlines()[-1].split("=")[1]) <= 1e-14 * 1e308
 
 
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 def test_oracle_beyond_the_float_range_fails_with_one_line(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"values": [1e308, -1e308, 1e308, -1e308, 1e308]}))

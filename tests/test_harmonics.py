@@ -10,6 +10,7 @@ from trigsplines import (
     nodes,
 )
 
+from conftest import warnings_as_errors
 from reference import trig_poly_eval
 
 
@@ -131,7 +132,7 @@ def test_sample_length_mismatch_rejected():
         SampleSet(values=np.ones(5), grid=GridSpec(9, 0))
 
 
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 @settings(deadline=None, max_examples=40)
 @given(
     st.integers(min_value=1, max_value=50).map(lambda m: 2 * m + 1),
@@ -149,7 +150,7 @@ def test_power_of_two_scaled_data_scale_the_coefficients_exactly(n, kind, seed, 
     np.testing.assert_array_equal(scaled.b, np.ldexp(c.b, e))
 
 
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 def test_coefficients_beyond_the_float_range_raise_value_error():
     grid = GridSpec(5, 0)
     near_max = dft_coeffs(SampleSet(values=np.array([1e308, -1e308, 1e308, -1e308, 1e308]), grid=grid))

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trigsplines import (
@@ -25,6 +26,7 @@ from trigsplines import (
     verify_interpolation,
 )
 
+from conftest import warnings_as_errors
 from reference import enumerate_all, factor_sums, trig_poly_eval
 
 A1 = lookup("A1")
@@ -83,7 +85,7 @@ def test_non_finite_data_rejected(values, index, bad):
         build(values, make_spec(2, 9))
 
 
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 @settings(deadline=None, max_examples=30)
 @given(
     st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=6),
@@ -104,20 +106,22 @@ def test_non_finite_angles_rejected(angles, index, bad):
 NEAR_MAX = [1e308, -1e308, 1e308, -1e308, 1e308]
 
 
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 @settings(deadline=None, max_examples=40)
 @given(
     st.lists(st.floats(min_value=-1.0, max_value=1.0).filter(lambda x: x == 0 or abs(x) > 1e-6),
              min_size=9, max_size=9),
-    st.integers(min_value=-900, max_value=1020),
+    st.integers(min_value=-1020, max_value=1020),
     st.sampled_from([1, 2, 3]),
     st.sampled_from(GRID_PAIRS),
 )
 @example([1.0, -1.0] * 4 + [1.0], 1020, 3, (0, 0))
-@example([0.0] * 9, -900, 1, (1, 0))
+@example([1.0, -1.0] * 4 + [1.0], -1020, 3, (0, 0))
+@example([0.0] * 9, -1020, 1, (1, 0))
 def test_power_of_two_scaled_data_scale_the_spline_exactly(values, e, r, pair):
     # 2^e * f builds the same series as f, scaled by 2^e: bit for bit, for any
-    # e that keeps the data and the spline inside the float range.
+    # e that keeps the data exact and the spline inside the float range.
+    assume(np.array_equal(np.ldexp(np.ldexp(values, e), -e), values))
     spec = make_spec(r, 9, *pair)
     base, scaled = build(values, spec), build(np.ldexp(values, e), spec)
     t = np.linspace(-1.0, 7.0, 33)
@@ -125,7 +129,19 @@ def test_power_of_two_scaled_data_scale_the_spline_exactly(values, e, r, pair):
     np.testing.assert_array_equal(sample(scaled, 48)[:, 1], np.ldexp(sample(base, 48)[:, 1], e))
 
 
-@pytest.mark.filterwarnings("error")
+def test_one_build_takes_the_data_exponent_at_most_twice(monkeypatch):
+    # Once for the unit scale of the data, once for the range check of the
+    # public coefficients; every module holding the helper is counted.
+    calls = []
+    real = sys.modules["trigsplines.harmonics"]._exponent
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trigsplines.") and getattr(module, "_exponent", None) is real:
+            monkeypatch.setattr(module, "_exponent", lambda x: calls.append(x) or real(x))
+    build(np.arange(9.0), make_spec(3, 9, i1=1, i2=1))
+    assert len(calls) <= 2
+
+
+@warnings_as_errors
 @pytest.mark.parametrize("r", [1, 3])
 def test_data_near_the_float_maximum_build_finite(r):
     model = build(NEAR_MAX, make_spec(r, 5))
@@ -135,7 +151,7 @@ def test_data_near_the_float_maximum_build_finite(r):
     assert np.isfinite(evaluate(model, np.linspace(0.0, 6.0, 61))).all()
 
 
-@pytest.mark.filterwarnings("error")
+@warnings_as_errors
 def test_results_beyond_the_float_range_raise_one_value_error():
     # The data are finite, but the coefficient b_2 is about 2.1e308.
     with pytest.raises(ValueError, match="exceeds the float range"):

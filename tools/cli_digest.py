@@ -12,19 +12,32 @@ be checked with
 
 on both sides.  ``ERRORS`` holds single-fault invocations, each expected to
 exit 1 with one ``<ErrorName>: detail`` line on stderr.
+
+Where the totals differ, ``--save PATH`` on one side writes every outcome to
+a JSON file, and ``--compare PATH`` on the other prints, for each invocation
+whose outcome differs, the largest absolute change of a number in its output
+and that change over the largest |number| of the invocation:
+
+    PYTHONPATH=src python tools/cli_digest.py --save /tmp/before.json
+    PYTHONPATH=src python tools/cli_digest.py --compare /tmp/before.json
+
+An invocation whose exit code or text around the numbers changed is reported
+as a text change.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from trigsplines.cli import main
@@ -236,14 +249,78 @@ def run_matrix() -> list[tuple[tuple[str, ...], Outcome]]:
         return [(argv, run_one(list(argv), directory)) for argv in MATRIX + ERRORS]
 
 
-def report() -> None:
+def report(results) -> None:
     total = hashlib.sha256()
-    for argv, outcome in run_matrix():
+    for argv, outcome in results:
         digest = outcome.digest()
         total.update(digest.encode())
         print(f"{digest}  {' '.join(argv)}")
     print(f"{total.hexdigest()}  total")
 
 
+def save(results, path) -> None:
+    """Write ``results`` of :func:`run_matrix` to ``path`` as JSON."""
+    Path(path).write_text(json.dumps([[list(argv), asdict(o)] for argv, o in results], indent=1))
+
+
+def load(path) -> dict[tuple[str, ...], Outcome]:
+    """The outcomes written by :func:`save`, by invocation."""
+    return {tuple(argv): Outcome(**o) for argv, o in json.loads(Path(path).read_text())}
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _split(outcome: Outcome) -> tuple[str, list[float]]:
+    """The outcome's exit code and text with each number replaced by ``#``,
+    and the numbers in order."""
+    text = "\0".join([str(outcome.code), outcome.stdout, outcome.stderr, outcome.out_file or ""])
+    return NUMBER.sub("#", text), [float(x) for x in NUMBER.findall(text)]
+
+
+def changes(saved: dict, results) -> list[tuple[tuple[str, ...], float | None, float | None]]:
+    """(invocation, largest |change| of a number, that over the invocation's
+    largest |number|) for each invocation of ``results`` whose outcome differs
+    from ``saved``; both are None where the text around the numbers, the exit
+    code or the count of numbers differs, or nothing was saved."""
+    out = []
+    for argv, outcome in results:
+        old = saved.get(argv)
+        if old == outcome:
+            continue
+        new_text, b = _split(outcome)
+        old_text, a = _split(old) if old is not None else (None, [])
+        if old_text != new_text:
+            out.append((argv, None, None))
+            continue
+        change = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+        largest = max(map(abs, a + b), default=0.0)
+        out.append((argv, change, change / largest if largest else 0.0))
+    return out
+
+
+def compare(saved: dict, results) -> None:
+    found = changes(saved, results)
+    for argv, change, relative in found:
+        detail = ("text changed" if change is None
+                  else f"max |change| {change:.3e}, relative {relative:.3e}")
+        print(f"{' '.join(argv)}: {detail}")
+    largest = max((rel for _, _, rel in found if rel is not None), default=0.0)
+    print(f"{len(found)} of {len(results)} invocations differ; "
+          f"largest relative change {largest:.3e}")
+
+
 if __name__ == "__main__":
-    report()
+    parser = argparse.ArgumentParser(description="Digest of the CLI's output over a fixed matrix.")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--save", metavar="PATH", help="also write every outcome to PATH as JSON")
+    mode.add_argument("--compare", metavar="PATH",
+                      help="print the numeric changes from the outcomes saved in PATH")
+    args = parser.parse_args()
+    results = run_matrix()
+    if args.compare:
+        compare(load(args.compare), results)
+    else:
+        report(results)
+        if args.save:
+            save(results, args.save)
