@@ -15,7 +15,7 @@ from .analog import (
     fit_periodic_quadratic,
     max_deviation,
 )
-from .basis import DEFAULT_FIXED_M, TruncationPolicy, alias_depth, basis_cos, basis_sin
+from .basis import DEFAULT_FIXED_M, TruncationPolicy, alias_depth, alias_grid
 from .errors import (
     DegenerateVariant,
     InvalidGrid,
@@ -62,8 +62,7 @@ __all__ = [
     "TruncationPolicy",
     "UnknownElement",
     "alias_depth",
-    "basis_cos",
-    "basis_sin",
+    "alias_grid",
     "build",
     "custom_table",
     "default_alpha",

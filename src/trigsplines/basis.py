@@ -11,9 +11,9 @@ picks one M per build, shared by every harmonic, by the basis series and by
 the interpolation factors, so that the two truncate consistently.
 
 :func:`alias_grid` evaluates the factors of every harmonic's truncated series
-in one pass; the spline, its interpolation factors and its sampling all read
-that grid.  :func:`basis_cos` and :func:`basis_sin` sum one harmonic's series
-directly, term by term, and are the reference the grid is tested against.
+in one pass.  It is the library's one representation of the series: the
+interpolation factors, the spline's spectrum, evaluation and sampling all read
+that grid.
 """
 
 from __future__ import annotations
@@ -66,12 +66,6 @@ class TruncationPolicy:
             raise ValueError(f"m_max must be >= {M_MIN}, got {self.m_max}")
         if self.fixed_m is not None and self.fixed_m < 1:
             raise ValueError(f"fixed_m must be a positive integer, got {self.fixed_m!r}")
-
-
-def _check_harmonic(n_nodes: int, k: int) -> None:
-    half = GridSpec(n_nodes).n_harmonics
-    if not 1 <= k <= half:
-        raise ValueError(f"k must be in [1, {half}], got {k}")
 
 
 def _tail_bound(r: int, n_nodes: int, k: int, m: int) -> float:
@@ -138,52 +132,3 @@ def alias_grid(family: FactorFamily, n_nodes: int, policy: TruncationPolicy) -> 
         columns[qs] = factor_values(family, np.add.outer(qs, n_nodes * np.arange(rows)))
     columns[(n_nodes + 1) // 2 :, -1] = 0.0
     return columns.T
-
-
-def _basis(family, signs, i1, n_nodes, k, t, policy, trig, outer, inner):
-    _check_harmonic(n_nodes, k)
-    if i1 not in (0, 1):
-        raise ValueError(f"i1 must be 0 or 1, got {i1!r}")
-    m = np.arange(1, alias_depth(family, n_nodes, policy) + 1)
-    sign = outer * (1 - 2 * (m * i1 % 2))
-    j = np.concatenate(([k], m * n_nodes + k, m * n_nodes - k))
-    weights = np.concatenate(([1], sign, sign * inner)) * factor_values(family, j)
-    t_arr = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(t_arr).ravel()
-    out = np.empty(tt.size)
-    step = max(1, _CHUNK_ELEMENTS // j.size)
-    for start in range(0, tt.size, step):
-        out[start : start + step] = trig(np.outer(tt[start : start + step], j)) @ weights
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
-
-
-def basis_cos(family, signs, i1: int, n_nodes: int, k: int, t, policy: TruncationPolicy):
-    """Cosine-type basis series at harmonic k, truncated per the policy.
-
-    Parameters
-    ----------
-    family : FactorFamily
-        Convergence factors v.
-    signs : SignMatrix
-        Sign-distribution element; only its cosine row enters here.
-    i1 : int
-        Crosslink grid index; contributes the (-1)^(m*i1) alternation.
-    n_nodes : int
-        Odd node count N.
-    k : int
-        Harmonic index, 1 <= k <= (N-1)/2.
-    t : float or np.ndarray
-        Evaluation angle(s); the result is a float or an array of their shape.
-    policy : TruncationPolicy
-        Truncation control.
-    """
-    return _basis(
-        family, signs, i1, n_nodes, k, t, policy, np.cos, signs.cos_outer, signs.cos_inner
-    )
-
-
-def basis_sin(family, signs, i1: int, n_nodes: int, k: int, t, policy: TruncationPolicy):
-    """Sine-type basis series at harmonic k; parameters as in :func:`basis_cos`."""
-    return _basis(
-        family, signs, i1, n_nodes, k, t, policy, np.sin, signs.sin_outer, signs.sin_inner
-    )

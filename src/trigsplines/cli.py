@@ -15,6 +15,7 @@ single machine-parsable line ``<ErrorName>: detail`` on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -176,7 +177,7 @@ def cmd_coeffs(args) -> list[dict]:
     rows = [[0, coeffs.a0, 0.0]]
     rows += [
         [k, float(coeffs.a[k - 1]), float(coeffs.b[k - 1])]
-        for k in range(1, coeffs.n_harmonics + 1)
+        for k in range(1, grid.n_harmonics + 1)
     ]
     return [
         {
@@ -189,7 +190,8 @@ def cmd_coeffs(args) -> list[dict]:
 
 def cmd_factors(args) -> list[dict]:
     def block(values, spec):
-        pair = interp_factors(spec.family, spec.signs, spec.i1, spec.i2, spec.n_nodes, spec.policy)
+        grid = alias_grid(spec.family, spec.n_nodes, spec.policy)
+        pair = interp_factors(grid, spec.signs, spec.i1, spec.i2)
         rows = [[k, float(hc), float(hs)] for k, (hc, hs) in enumerate(zip(pair.hc, pair.hs), 1)]
         return {"columns": ["k", "hc", "hs"], "rows": rows}
 
@@ -298,7 +300,9 @@ def cmd_compare_analog(args) -> list[dict]:
     return _per_variant(args, block)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and reused; subcommand ``name`` runs ``cmd_<name>``."""
     parser = argparse.ArgumentParser(
         prog="trigsplines",
         description="Construct, classify, and evaluate interpolation trigonometric splines.",
@@ -331,24 +335,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="crosslink grid kind")
     variant = [grid_parent, series_parent, spline_parent]
 
-    def command(name, handler, parents, text):
-        # The handler is looked up on each call, so a rebound cmd_* is used.
-        p = sub.add_parser(name, parents=parents, help=text)
-        p.set_defaults(handler=handler)
-        return p
-
-    command("nodes", cmd_nodes, [grid_parent], "emit grid node angles")
-    command("coeffs", cmd_coeffs, [grid_parent], "emit harmonic coefficients")
-    command("factors", cmd_factors, variant, "emit interpolation factors hc, hs")
-    p = command("build-eval", cmd_build_eval, variant, "build a spline and evaluate at given angles")
+    sub.add_parser("nodes", parents=[grid_parent], help="emit grid node angles")
+    sub.add_parser("coeffs", parents=[grid_parent], help="emit harmonic coefficients")
+    sub.add_parser("factors", parents=variant, help="emit interpolation factors hc, hs")
+    p = sub.add_parser("build-eval", parents=variant,
+                       help="build a spline and evaluate at given angles")
     p.add_argument("--at", required=True, help="comma-separated angles")
-    p = command("sample", cmd_sample, variant, "sample a spline on an equispaced grid")
+    p = sub.add_parser("sample", parents=variant, help="sample a spline on an equispaced grid")
     p.add_argument("--samples", type=int, default=512)
-    command("verify", cmd_verify, variant, "report nodal interpolation residuals")
-    command("enumerate", cmd_enumerate, [io_parent, series_parent],
-            "classification feasibility table over all 16 elements x 4 grid pairs")
-    p = command("compare-analog", cmd_compare_analog, variant,
-                "max deviation from the polynomial-spline oracle")
+    sub.add_parser("verify", parents=variant, help="report nodal interpolation residuals")
+    sub.add_parser("enumerate", parents=[io_parent, series_parent],
+                   help="classification feasibility table over all 16 elements x 4 grid pairs")
+    p = sub.add_parser("compare-analog", parents=variant,
+                       help="max deviation from the polynomial-spline oracle")
     p.add_argument("--samples", type=int, default=2048)
     return parser
 
@@ -360,8 +359,10 @@ def main(argv=None) -> int:
         i = argv.index("--at")
         argv[i : i + 2] = [f"--at={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
+    # Looked up on each call, so a rebound cmd_* is the one that runs.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        _emit(args, args.handler(args))
+        _emit(args, handler(args))
     except (TrigSplineError, ValueError, OSError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1

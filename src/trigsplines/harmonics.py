@@ -48,10 +48,6 @@ class HarmonicCoeffs:
     a: np.ndarray
     b: np.ndarray
 
-    @property
-    def n_harmonics(self) -> int:
-        return len(self.a)
-
 
 def _exponent(x) -> int:
     """The e with max|x| * 2^-e in [1/2, 1); 0 for zero or empty ``x``."""

@@ -2,9 +2,10 @@
 between a basis series and the bare harmonic at interpolation-grid nodes.
 
 At a node t_j of the kind-I2 grid, cos(mN*t_j) = (-1)^(m*I2) and
-sin(mN*t_j) = 0, so every alias term collapses onto the order-k harmonic:
+sin(mN*t_j) = 0, so every alias term of the cosine-type basis C_k and the
+sine-type basis S_k collapses onto the order-k harmonic:
 
-    basis_cos(t_j) = hc * cos(k t_j),    basis_sin(t_j) = hs * sin(k t_j),
+    C_k(t_j) = hc * cos(k t_j),    S_k(t_j) = hs * sin(k t_j),
 
 with, writing J = (I1 + I2) mod 2 (algebraically equal to I1 - 2*I1*I2 + I2
 on {0,1}^2),
@@ -22,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TruncationPolicy, alias_grid
 from .errors import DegenerateVariant
-from .factors import FactorFamily
 from .signs import SignMatrix
 
 # A factor this small relative to v_k means the variant's spline divides by
@@ -40,9 +39,19 @@ class FactorPair:
     hs: np.ndarray
 
 
-def nodal_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> FactorPair:
-    """hc/hs of one variant from its :func:`trigsplines.basis.alias_grid`,
-    without the degeneracy gate; (-1)^(mJ) splits each column by row parity."""
+def interp_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> FactorPair:
+    """hc/hs of one classification variant from its alias grid,
+    ``alias_grid(family, N, policy)`` of :mod:`trigsplines.basis`;
+    (-1)^(mJ) splits each column by row parity.
+
+    Raises
+    ------
+    DegenerateVariant
+        At the first k whose |hc_k| or |hs_k| is at most
+        ``DEGENERACY_RTOL * |v_k|``, with v_k read off row 0 of the grid; the
+        variant's spline is undefined at that harmonic.  The exception carries
+        the ungated factors.
+    """
     if i1 not in (0, 1) or i2 not in (0, 1):
         raise ValueError(f"i1 and i2 must be 0 or 1, got {i1!r}, {i2!r}")
     n = (grid.shape[1] - 1) // 2
@@ -51,42 +60,13 @@ def nodal_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> Fact
     # Column N-k holds v_{mN-k} in row m - 1, so its even rows are odd m.
     minus = s * grid[0::2, :n:-1].sum(axis=0) + grid[1::2, :n:-1].sum(axis=0)
     v = grid[0, 1 : n + 1]
-    return FactorPair(
+    pair = FactorPair(
         hc=v + signs.cos_outer * (plus + signs.cos_inner * minus),
         hs=v + signs.sin_outer * (plus - signs.sin_inner * minus),
     )
-
-
-def gated_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> FactorPair:
-    """:func:`nodal_factors` behind the degeneracy gate, which reads each v_k
-    off row 0 of the grid.
-
-    Raises
-    ------
-    DegenerateVariant
-        At the first k whose |hc_k| or |hs_k| is at most
-        ``DEGENERACY_RTOL * |v_k|``; the variant's spline is undefined at
-        that harmonic.  The exception carries the raw factors.
-    """
-    pair = nodal_factors(grid, signs, i1, i2)
-    scale = DEGENERACY_RTOL * np.abs(grid[0, 1 : len(pair.hc) + 1])
+    scale = DEGENERACY_RTOL * np.abs(v)
     bad = np.column_stack((np.abs(pair.hc) <= scale, np.abs(pair.hs) <= scale))
     if bad.any():
         k, side = np.argwhere(bad)[0]
         raise DegenerateVariant(int(k) + 1, ("hc", "hs")[side], pair)
     return pair
-
-
-def interp_factors(
-    family: FactorFamily,
-    signs: SignMatrix,
-    i1: int,
-    i2: int,
-    n_nodes: int,
-    policy: TruncationPolicy,
-) -> FactorPair:
-    """Interpolation factors for one classification variant, behind the
-    degeneracy gate of :func:`gated_factors` (which raises
-    ``DegenerateVariant``)."""
-    return gated_factors(alias_grid(family, n_nodes, policy), signs, i1, i2)
-

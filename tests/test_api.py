@@ -16,7 +16,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Test references that live in tests/reference.py, and names that are gone.
 NOT_EXPORTED = ("factor_at", "factor_sums", "nodal_factor_oracle", "trig_poly_eval",
-                "enumerate_all", "IndexOutOfTable", "NoUsableNode")
+                "enumerate_all", "IndexOutOfTable", "NoUsableNode", "basis_cos", "basis_sin",
+                "variant_factors", "nodal_factors", "gated_factors")
 
 
 def test_readme_library_usage_runs_as_written(capsys):
@@ -37,6 +38,12 @@ def test_every_exported_name_resolves():
 def test_test_references_and_removed_names_are_not_exported(name):
     assert name not in trigsplines.__all__
     assert not hasattr(trigsplines, name)
+
+
+def test_grid_spec_is_the_one_owner_of_the_harmonic_count():
+    assert trigsplines.GridSpec(9).n_harmonics == 4
+    for cls in (trigsplines.SplineSpec, trigsplines.HarmonicCoeffs):
+        assert not hasattr(cls, "n_harmonics")
 
 
 def test_factor_family_has_no_kind():

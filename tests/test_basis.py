@@ -11,18 +11,15 @@ from trigsplines import (
     TruncationNotConverged,
     TruncationPolicy,
     alias_depth,
-    basis_cos,
-    basis_sin,
     custom_table,
     default_alpha,
-    interp_factors,
     lookup,
     nodes,
     sinc_power,
 )
 from trigsplines.basis import M_MIN, _tail_bound
 
-from reference import enumerate_all
+from reference import basis_cos, basis_sin, enumerate_all, variant_factors
 
 ALPHA9 = default_alpha(9)
 A1 = lookup("A1")
@@ -51,7 +48,7 @@ def test_at_zero_cosine_series_equals_factor():
     # All cosines are 1 at t=0, so the series collapses to hc of the
     # matched-grid variant.
     fam = sinc_power(3, ALPHA9)
-    pair = interp_factors(fam, A1, 0, 0, 9, FAST)
+    pair = variant_factors(fam, A1, 0, 0, 9, FAST)
     for k in (1, 2, 3, 4):
         val = basis_cos(fam, A1, 0, 9, k, 0.0, FAST)
         assert val == pytest.approx(pair.hc[k - 1], rel=1e-13)
@@ -112,7 +109,7 @@ def test_nodal_proportionality_all_elements():
         for signs in enumerate_all():
             for i1 in (0, 1):
                 for i2 in (0, 1):
-                    pair = interp_factors(fam, signs, i1, i2, 9, FAST)
+                    pair = variant_factors(fam, signs, i1, i2, 9, FAST)
                     t = nodes(GridSpec(9, i2))
                     for k in (1, 4):
                         bc = basis_cos(fam, signs, i1, 9, k, t, FAST)

@@ -1,20 +1,24 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trigsplines.cli
 from trigsplines import (
     DegenerateVariant,
     TruncationPolicy,
-    interp_factors,
     lookup,
     sinc_power,
 )
 from trigsplines.cli import main
 
 from conftest import warnings_as_errors
-from reference import factor_sums
+from reference import factor_sums, variant_factors
 
 DEMO = [3, 1, 3, 2, 4, 1, 3, 1, 2]
 
@@ -48,6 +52,32 @@ def test_nodes_command(capsys, data_file):
     assert lines[1] == "1,0"
     j, t = lines[2].split(",")
     assert j == "2" and float(t) == pytest.approx(2.0 * np.pi / 9.0, rel=1e-16)
+
+
+def test_rebound_handler_is_the_one_main_runs(capsys, monkeypatch, data_file):
+    # The parser is built once per process; the command still dispatches to
+    # the module's current cmd_* binding, which is what tracers rebind.
+    assert run(capsys, "nodes", data_file)[0] == 0
+    block = {"spec": {"N": 0}, "columns": ["j"], "rows": [[7]]}
+    monkeypatch.setattr(trigsplines.cli, "cmd_nodes", lambda args: [block])
+    assert run(capsys, "nodes", data_file) == (0, "# spec: N=0\n7\n", "")
+
+
+def test_cli_import_adds_only_the_package():
+    # A fresh interpreter that already holds numpy and the standard modules
+    # the CLI uses: importing trigsplines.cli may load nothing else.
+    script = (
+        "import sys, numpy, argparse, json, pathlib, dataclasses, math, operator, functools\n"
+        "before = set(sys.modules)\n"
+        "import trigsplines.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(trigsplines.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    added = proc.stdout.split()
+    assert "trigsplines.cli" in added
+    assert [m for m in added if m != "__future__" and m.split(".")[0] != "trigsplines"] == []
 
 
 def test_csv_input_accepted(capsys, csv_data_file):
@@ -325,7 +355,7 @@ def test_enumerate_matches_library_gate(tmp_path, capsys):
         assert float(min_hc) == np.abs(pair.hc).min()
         assert float(min_hs) == np.abs(pair.hs).min()
         try:
-            interp_factors(*args)
+            variant_factors(*args)
         except DegenerateVariant:
             assert degenerate == "true" and residual == ""
         else:

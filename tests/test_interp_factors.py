@@ -7,6 +7,7 @@ from trigsplines import (
     DegenerateVariant,
     GridSpec,
     TruncationPolicy,
+    alias_grid,
     custom_table,
     default_alpha,
     interp_factors,
@@ -37,7 +38,7 @@ def brute_factor(r, n_nodes, k, m_count, alternating, plus_sign, minus_sign):
 def test_a1_matched_grids_match_brute_force():
     fam = sinc_power(1, ALPHA9)
     pol = TruncationPolicy(fixed_m=5000)
-    pair = interp_factors(fam, A1, 0, 0, 9, pol)
+    pair = interp_factors(alias_grid(fam, 9, pol), A1, 0, 0)
     for k in (1, 2, 3, 4):
         expected = brute_factor(1, 9, k, 5000, 0, +1, +1)
         assert pair.hc[k - 1] == pytest.approx(expected, rel=1e-13)
@@ -55,7 +56,7 @@ def test_a1_r1_infinite_sum_is_constant_in_k():
 def test_a1_mismatched_grids_alternate():
     fam = sinc_power(1, ALPHA9)
     pol = TruncationPolicy(fixed_m=4000)
-    pair = interp_factors(fam, A1, 0, 1, 9, pol)
+    pair = interp_factors(alias_grid(fam, 9, pol), A1, 0, 1)
     for k in (1, 3):
         expected = brute_factor(1, 9, k, 4000, 1, +1, +1)
         assert pair.hc[k - 1] == pytest.approx(expected, rel=1e-12)
@@ -66,7 +67,7 @@ def test_custom_table_with_zero_tail_reduces_to_vk():
     table = [0.3, 0.8, 0.5, 0.4]
     fam = custom_table(table, r=2)
     for signs in (A1, lookup("C2")):
-        pair = interp_factors(fam, signs, 1, 0, 9, TruncationPolicy())
+        pair = interp_factors(alias_grid(fam, 9, TruncationPolicy()), signs, 1, 0)
         np.testing.assert_array_equal(pair.hc, table)
         np.testing.assert_array_equal(pair.hs, table)
 
@@ -90,7 +91,7 @@ def test_a1_cosine_and_sine_factors_coincide():
     for r in (1, 3):
         fam = sinc_power(r, ALPHA9)
         for i1, i2 in GRID_PAIRS:
-            pair = interp_factors(fam, A1, i1, i2, 9, FAST)
+            pair = interp_factors(alias_grid(fam, 9, FAST), A1, i1, i2)
             np.testing.assert_allclose(pair.hc, pair.hs, rtol=1e-12)
 
 
@@ -102,7 +103,7 @@ class TestNodalOracle:
             fam = sinc_power(r, ALPHA9)
             for signs in enumerate_all():
                 for i1, i2 in GRID_PAIRS:
-                    pair = interp_factors(fam, signs, i1, i2, 9, FAST)
+                    pair = interp_factors(alias_grid(fam, 9, FAST), signs, i1, i2)
                     grid = GridSpec(9, i2)
                     for k in (1, 2, 3, 4):
                         hc, hs = nodal_factor_oracle(fam, signs, i1, grid, k, FAST)
@@ -131,7 +132,7 @@ def test_degenerate_variant_detected():
     fam = custom_table([1.0, 1.0, 0.0, 0.0], r=1)
     pol = TruncationPolicy(fixed_m=3)
     with pytest.raises(DegenerateVariant) as err:
-        interp_factors(fam, lookup("B1"), 0, 0, 3, pol)
+        interp_factors(alias_grid(fam, 3, pol), lookup("B1"), 0, 0)
     assert err.value.k == 1
     assert err.value.which == "hc"
     # The raw sums remain available for classification sweeps.

@@ -12,8 +12,6 @@ from trigsplines import (
     GridSpec,
     SplineSpec,
     TruncationPolicy,
-    basis_cos,
-    basis_sin,
     build,
     custom_table,
     default_alpha,
@@ -27,7 +25,7 @@ from trigsplines import (
 )
 
 from conftest import warnings_as_errors
-from reference import enumerate_all, factor_sums, trig_poly_eval
+from reference import basis_cos, basis_sin, enumerate_all, factor_sums, trig_poly_eval
 
 A1 = lookup("A1")
 FAST = TruncationPolicy(m_max=300)
@@ -111,7 +109,9 @@ NEAR_MAX = [1e308, -1e308, 1e308, -1e308, 1e308]
 @given(
     st.lists(st.floats(min_value=-1.0, max_value=1.0).filter(lambda x: x == 0 or abs(x) > 1e-6),
              min_size=9, max_size=9),
-    st.integers(min_value=-1020, max_value=1020),
+    # The bands weight the range's edges, where subnormal coefficients lose
+    # bits; a uniform draw over 2041 exponents rarely reaches them.
+    st.one_of(st.integers(-1020, 1020), st.integers(-1020, -1000), st.integers(1000, 1020)),
     st.sampled_from([1, 2, 3]),
     st.sampled_from(GRID_PAIRS),
 )
@@ -385,7 +385,7 @@ def series_reference(model, t):
     spec, c, f = model.spec, model.coeffs, model.factors
     args = (spec.family, spec.signs, spec.i1, spec.n_nodes)
     out = np.full(len(t), c.a0 / 2.0)
-    for k in range(1, spec.n_harmonics + 1):
+    for k in range(1, GridSpec(spec.n_nodes).n_harmonics + 1):
         out += c.a[k - 1] * basis_cos(*args, k, t, spec.policy) / f.hc[k - 1]
         out += c.b[k - 1] * basis_sin(*args, k, t, spec.policy) / f.hs[k - 1]
     return out
