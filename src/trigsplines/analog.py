@@ -11,11 +11,9 @@ back; an entry beyond the float range raises ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import SolverFailure, _record
 from .grid import GridSpec, nodes
 from .harmonics import SampleSet, _unscaled
 from .spline import SplineModel, _finite_angles, sample
@@ -44,8 +42,7 @@ def _checked_solve(diag: float, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicPolySpline:
+class PeriodicPolySpline(_record("PeriodicPolySpline", "knots coeffs")):
     """A periodic piecewise polynomial on the uniform grid ``knots``, in
     piecewise-polynomial (pp) form.
 
@@ -54,14 +51,14 @@ class PeriodicPolySpline:
     and h their spacing.
     """
 
-    knots: GridSpec
-    coeffs: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 2 or len(coeffs) != self.knots.n_nodes:
-            raise ValueError(f"need {self.knots.n_nodes} rows of coefficients, got {coeffs.shape}")
-        object.__setattr__(self, "coeffs", coeffs)
+    def __new__(cls, knots: GridSpec, coeffs: np.ndarray):
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 2 or len(coeffs) != knots.n_nodes:
+            raise ValueError(f"need {knots.n_nodes} rows of coefficients, got {coeffs.shape}")
+        return super().__new__(cls, knots, coeffs)
 
     def __call__(self, t):
         """Value(s) at angle(s) ``t``: a float for a scalar angle, else an

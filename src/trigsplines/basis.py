@@ -19,11 +19,10 @@ that grid.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationNotConverged
+from .errors import TruncationNotConverged, _record
 from .factors import FactorFamily, factor_values
 from .grid import GridSpec
 
@@ -37,8 +36,7 @@ M_MIN = 4
 _CHUNK_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(_record("TruncationPolicy", "tol m_max fixed_m")):
     """How to cut the alias series.
 
     ``tol`` is the target bound on every harmonic's discarded absolute tail;
@@ -49,23 +47,22 @@ class TruncationPolicy:
     which has no tail bound.
     """
 
-    tol: float = 1e-10
-    m_max: int = 20_000
-    fixed_m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+    def __new__(cls, tol: float = 1e-10, m_max: int = 20_000, fixed_m: int | None = None):
+        if not tol > 0:
+            raise ValueError(f"tol must be positive, got {tol!r}")
         try:
-            object.__setattr__(self, "m_max", operator.index(self.m_max))
-            if self.fixed_m is not None:
-                object.__setattr__(self, "fixed_m", operator.index(self.fixed_m))
+            m_max = operator.index(m_max)
+            if fixed_m is not None:
+                fixed_m = operator.index(fixed_m)
         except TypeError:
             raise ValueError("m_max and fixed_m must be integers") from None
-        if self.m_max < M_MIN:
-            raise ValueError(f"m_max must be >= {M_MIN}, got {self.m_max}")
-        if self.fixed_m is not None and self.fixed_m < 1:
-            raise ValueError(f"fixed_m must be a positive integer, got {self.fixed_m!r}")
+        if m_max < M_MIN:
+            raise ValueError(f"m_max must be >= {M_MIN}, got {m_max}")
+        if fixed_m is not None and fixed_m < 1:
+            raise ValueError(f"fixed_m must be a positive integer, got {fixed_m!r}")
+        return super().__new__(cls, tol, m_max, fixed_m)
 
 
 def _tail_bound(r: int, n_nodes: int, k: int, m: int) -> float:

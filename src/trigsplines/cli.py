@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -242,7 +241,7 @@ def cmd_enumerate(args) -> list[dict]:
         rows = []
         for name in ELEMENT_NAMES:
             for i1, i2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                spec = replace(base, signs=lookup(name), i1=i1, i2=i2)
+                spec = base._replace(signs=lookup(name), i1=i1, i2=i2)
                 try:
                     model = assemble(values, spec, grid)
                 except DegenerateVariant as exc:
@@ -322,8 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="smoothness parameter; repeat for several runs")
     series_parent.add_argument("--alpha", type=float, default=None,
                                help="factor width (default: 2*pi/N)")
-    series_parent.add_argument("--tol", type=float, default=TruncationPolicy.tol)
-    series_parent.add_argument("--m-max", type=int, default=TruncationPolicy.m_max)
+    series_parent.add_argument("--tol", type=float, default=TruncationPolicy().tol)
+    series_parent.add_argument("--m-max", type=int, default=TruncationPolicy().m_max)
     series_parent.add_argument("--fixed-m", type=int, nargs="?", const=DEFAULT_FIXED_M,
                                default=None,
                                help="fixed summation order (required when r=0; "

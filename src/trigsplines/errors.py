@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types and the record base shared across the package."""
+
+from collections import namedtuple
+
+
+def _record(typename: str, field_names: str) -> type:
+    """Named-tuple base whose ``_make``, and so ``_replace``, calls ``cls.__new__``."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 class TrigSplineError(Exception):

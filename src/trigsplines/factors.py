@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _record
 
-@dataclass(frozen=True)
-class FactorFamily:
+
+class FactorFamily(_record("FactorFamily", "r alpha table")):
     """A rule producing the positive-index factors v_1, v_2, ...
 
     Exactly one of ``alpha`` and ``table`` is given.  With ``alpha`` the
@@ -25,27 +25,26 @@ class FactorFamily:
     sinc normalization; with ``table`` the factors are its stored entries.
     """
 
-    r: int
-    alpha: float | None = None
-    table: tuple[float, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, r: int, alpha: float | None = None, table: tuple[float, ...] | None = None):
         try:
-            object.__setattr__(self, "r", operator.index(self.r))
+            r = operator.index(r)
         except TypeError:
-            raise ValueError(f"r must be an integer >= 0, got {self.r!r}") from None
-        if self.r < 0:
-            raise ValueError(f"r must be an integer >= 0, got {self.r!r}")
-        if (self.alpha is None) == (self.table is None):
+            raise ValueError(f"r must be an integer >= 0, got {r!r}") from None
+        if r < 0:
+            raise ValueError(f"r must be an integer >= 0, got {r!r}")
+        if (alpha is None) == (table is None):
             raise ValueError("a factor family takes exactly one of alpha and table")
-        if self.table is not None:
-            object.__setattr__(self, "table", tuple(float(x) for x in self.table))
-            if not self.table:
+        if table is not None:
+            table = tuple(float(x) for x in table)
+            if not table:
                 raise ValueError("custom-table family needs a non-empty table")
-        elif not self.alpha > 0:
-            raise ValueError(f"sinc-power family needs alpha > 0, got {self.alpha!r}")
-        elif not math.isfinite(self.alpha):
-            raise ValueError(f"sinc-power family needs a finite alpha, got {self.alpha!r}")
+        elif not alpha > 0:
+            raise ValueError(f"sinc-power family needs alpha > 0, got {alpha!r}")
+        elif not math.isfinite(alpha):
+            raise ValueError(f"sinc-power family needs a finite alpha, got {alpha!r}")
+        return super().__new__(cls, r, alpha, table)
 
 
 def default_alpha(n_nodes: int) -> float:

@@ -8,38 +8,34 @@ The node count is always odd.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrid
+from .errors import InvalidGrid, _record
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_record("GridSpec", "n_nodes kind")):
     """An equispaced grid of odd size N on [0, 2*pi).
 
     With 1-based node index j (as in the written formulas), kind 0 places node
     j at 2*pi*(j-1)/N and kind 1 at pi*(2j-1)/N.  All code below is 0-based.
     """
 
-    n_nodes: int
-    kind: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n_nodes: int, kind: int = 0):
         try:
-            n = operator.index(self.n_nodes)
-            kind = operator.index(self.kind)
+            n = operator.index(n_nodes)
+            k = operator.index(kind)
         except TypeError:
             raise InvalidGrid(
-                f"n_nodes and kind must be integers, got {self.n_nodes!r}, {self.kind!r}"
+                f"n_nodes and kind must be integers, got {n_nodes!r}, {kind!r}"
             ) from None
         if n % 2 == 0 or n < 3:
             raise InvalidGrid(f"n_nodes must be an odd integer >= 3, got {n}")
-        if kind not in (0, 1):
-            raise InvalidGrid(f"kind must be 0 or 1, got {kind}")
-        object.__setattr__(self, "n_nodes", n)
-        object.__setattr__(self, "kind", kind)
+        if k not in (0, 1):
+            raise InvalidGrid(f"kind must be 0 or 1, got {k}")
+        return super().__new__(cls, n, k)
 
     @property
     def spacing(self) -> float:

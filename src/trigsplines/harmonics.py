@@ -8,30 +8,29 @@ grid nodes (odd N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import _record
 from .grid import GridSpec
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(_record("SampleSet", "values grid")):
     """N data values attached to the N nodes of a grid."""
 
-    values: np.ndarray
-    grid: GridSpec
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or len(vals) != self.grid.n_nodes:
+    def __new__(cls, values: np.ndarray, grid: GridSpec):
+        vals = np.asarray(values, dtype=float)
+        if vals.ndim != 1 or len(vals) != grid.n_nodes:
             raise ValueError(
-                f"need exactly {self.grid.n_nodes} values for this grid, got shape {vals.shape}"
+                f"need exactly {grid.n_nodes} values for this grid, got shape {vals.shape}"
             )
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise ValueError(f"data values must be finite, got {vals[bad[0]]} at index {bad[0]}")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals, grid)
 
     def unit_scaled(self) -> tuple[np.ndarray, int]:
         """The values times 2^-e, and e = :func:`_exponent` of the values, which
@@ -40,8 +39,7 @@ class SampleSet:
         return np.ldexp(self.values, -e), e
 
 
-@dataclass(frozen=True)
-class HarmonicCoeffs:
+class HarmonicCoeffs(NamedTuple):
     """Coefficients a0, a_k, b_k for k = 1..(N-1)/2."""
 
     a0: float

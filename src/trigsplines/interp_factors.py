@@ -19,7 +19,7 @@ sin(k t_j).  Dividing a basis series by its factor enforces interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .signs import SignMatrix
 DEGENERACY_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class FactorPair:
+class FactorPair(NamedTuple):
     """hc_k and hs_k for k = 1..(N-1)/2."""
 
     hc: np.ndarray
@@ -48,9 +47,9 @@ def interp_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> Fac
     ------
     DegenerateVariant
         At the first k whose |hc_k| or |hs_k| is at most
-        ``DEGENERACY_RTOL * |v_k|``, with v_k read off row 0 of the grid; the
-        variant's spline is undefined at that harmonic.  The exception carries
-        the ungated factors.
+        ``max(DEGENERACY_RTOL * |v_k|, tiny)``, with v_k read off row 0 of the
+        grid and tiny the smallest normal float; the variant's spline is
+        undefined at that harmonic.  The exception carries the ungated factors.
     """
     if i1 not in (0, 1) or i2 not in (0, 1):
         raise ValueError(f"i1 and i2 must be 0 or 1, got {i1!r}, {i2!r}")
@@ -64,7 +63,7 @@ def interp_factors(grid: np.ndarray, signs: SignMatrix, i1: int, i2: int) -> Fac
         hc=v + signs.cos_outer * (plus + signs.cos_inner * minus),
         hs=v + signs.sin_outer * (plus - signs.sin_inner * minus),
     )
-    scale = DEGENERACY_RTOL * np.abs(v)
+    scale = np.maximum(DEGENERACY_RTOL * np.abs(v), np.finfo(float).tiny)
     bad = np.column_stack((np.abs(pair.hc) <= scale, np.abs(pair.hs) <= scale))
     if bad.any():
         k, side = np.argwhere(bad)[0]

@@ -8,13 +8,10 @@ series carries "+ ... +" and its sine series "+ ... -".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import UnknownElement
+from .errors import UnknownElement, _record
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(_record("SignMatrix", "name cos_outer cos_inner sin_outer sin_inner")):
     """One element of the sign table.
 
     Row 1 of the written 2x2 element is the cosine series (outer sign before
@@ -22,16 +19,13 @@ class SignMatrix:
     sine series.
     """
 
-    name: str
-    cos_outer: int
-    cos_inner: int
-    sin_outer: int
-    sin_inner: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for s in (self.cos_outer, self.cos_inner, self.sin_outer, self.sin_inner):
+    def __new__(cls, name: str, cos_outer: int, cos_inner: int, sin_outer: int, sin_inner: int):
+        for s in (cos_outer, cos_inner, sin_outer, sin_inner):
             if s not in (1, -1):
                 raise ValueError(f"signs must be +1 or -1, got {s!r}")
+        return super().__new__(cls, name, cos_outer, cos_inner, sin_outer, sin_inner)
 
 
 # (cos_outer, cos_inner, sin_outer, sin_inner), row-major table order.

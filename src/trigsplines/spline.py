@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .basis import _CHUNK_ELEMENTS, TruncationPolicy, alias_grid
+from .errors import _record
 from .factors import FactorFamily
 from .grid import GridSpec, nodes
 from .harmonics import HarmonicCoeffs, SampleSet, _coeffs, _unit_coeffs, _unscaled
@@ -29,36 +30,28 @@ from .interp_factors import FactorPair, interp_factors
 from .signs import SignMatrix
 
 
-@dataclass(frozen=True)
-class SplineSpec:
+class SplineSpec(_record("SplineSpec", "family signs r n_nodes i1 i2 policy")):
     """Everything that identifies one spline variant except the data."""
 
-    family: FactorFamily
-    signs: SignMatrix
-    r: int
-    n_nodes: int
-    i1: int
-    i2: int
-    policy: TruncationPolicy = TruncationPolicy()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_nodes", GridSpec(self.n_nodes, 0).n_nodes)
+    def __new__(cls, family: FactorFamily, signs: SignMatrix, r: int, n_nodes: int, i1: int,
+                i2: int, policy: TruncationPolicy = TruncationPolicy()):
+        n_nodes = GridSpec(n_nodes, 0).n_nodes
         try:
-            i1, i2 = operator.index(self.i1), operator.index(self.i2)
+            j1, j2 = operator.index(i1), operator.index(i2)
         except TypeError:
-            i1 = i2 = None
-        if i1 not in (0, 1) or i2 not in (0, 1):
-            raise ValueError(f"i1 and i2 must be 0 or 1, got {self.i1!r}, {self.i2!r}")
-        object.__setattr__(self, "i1", i1)
-        object.__setattr__(self, "i2", i2)
-        if self.r != self.family.r:
+            j1 = j2 = None
+        if j1 not in (0, 1) or j2 not in (0, 1):
+            raise ValueError(f"i1 and i2 must be 0 or 1, got {i1!r}, {i2!r}")
+        if r != family.r:
             raise ValueError(
-                f"spec smoothness r={self.r} disagrees with the family's r={self.family.r}"
+                f"spec smoothness r={r} disagrees with the family's r={family.r}"
             )
+        return super().__new__(cls, family, signs, r, n_nodes, j1, j2, policy)
 
 
-@dataclass(frozen=True, eq=False)
-class SplineModel:
+class SplineModel(NamedTuple):
     """A built spline: spec, coefficients, factors, the source samples, and
     the whole truncated series.
 
@@ -75,6 +68,8 @@ class SplineModel:
     source: SampleSet
     spectrum: np.ndarray
     exponent: int
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __call__(self, t):
         return evaluate(self, t)
@@ -187,8 +182,7 @@ def sample(model: SplineModel, count: int) -> np.ndarray:
     return np.column_stack((2.0 * np.pi * np.arange(count) / count, values))
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
+class InterpolationReport(NamedTuple):
     """Per-node interpolation residuals of a built model."""
 
     max_residual: float

@@ -1,10 +1,12 @@
-"""The public surface: the README's library example, ``__all__``, and the
-one-of rule of :class:`trigsplines.FactorFamily`."""
+"""The public surface: the README's library example, ``__all__``, the
+records' immutability and equality, and the one-of rule of
+:class:`trigsplines.FactorFamily`."""
 
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,3 +68,44 @@ def test_factor_family_takes_exactly_one_of_alpha_and_table(r, alpha, table):
         FactorFamily(r)
     assert FactorFamily(r, alpha=alpha).alpha == alpha
     assert FactorFamily(r, table=table).table == tuple(table)
+
+
+def _spec_records():
+    """Fresh instances of the five value records, from the same arguments."""
+    family = trigsplines.sinc_power(3, trigsplines.default_alpha(9))
+    policy = trigsplines.TruncationPolicy(m_max=300)
+    spec = trigsplines.SplineSpec(family, trigsplines.lookup("B2"), 3, 9, 1, 1, policy)
+    return [trigsplines.GridSpec(9, 1), spec.signs, family, policy, spec]
+
+
+def test_records_are_immutable_and_value_records_compare_by_value():
+    grid, signs, family, policy, spec = values = _spec_records()
+    data = np.arange(9.0)
+    model = trigsplines.build(data, spec)
+    analog = trigsplines.fit_periodic_cubic(data, grid)
+    records = [(grid, "n_nodes"), (signs, "name"), (family, "r"), (policy, "tol"), (spec, "i1"),
+               (model.source, "values"), (model.coeffs, "a0"), (model.factors, "hc"),
+               (trigsplines.verify_interpolation(model), "max_residual"), (model, "spec"),
+               (analog, "knots")]
+    assert len({type(record) for record, _ in records}) == 11
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    for one, twin in zip(values, _spec_records()):
+        assert one is not twin and one == twin and hash(one) == hash(twin)
+    # A built model and a fitted oracle equal only themselves.
+    for one, twin in ((model, trigsplines.build(data, spec)),
+                      (analog, trigsplines.fit_periodic_cubic(data, grid))):
+        assert one == one and one != twin and not one == twin
+        assert len({one, twin, one}) == 2
+
+
+def test_replace_checks_the_replaced_fields():
+    spec = _spec_records()[-1]
+    assert spec._replace(i1=0).i1 == 0 and trigsplines.GridSpec(9)._replace(kind=1) == (9, 1)
+    with pytest.raises(ValueError, match=r"i1 and i2 must be 0 or 1, got 2, 1$"):
+        spec._replace(i1=2)
+    with pytest.raises(trigsplines.InvalidGrid, match="odd integer"):
+        trigsplines.GridSpec(9)._replace(n_nodes=4)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        spec.policy._replace(tol=0.0)

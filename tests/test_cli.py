@@ -67,7 +67,7 @@ def test_cli_import_adds_only_the_package():
     # A fresh interpreter that already holds numpy and the standard modules
     # the CLI uses: importing trigsplines.cli may load nothing else.
     script = (
-        "import sys, numpy, argparse, json, pathlib, dataclasses, math, operator, functools\n"
+        "import sys, numpy, argparse, json, pathlib, math, operator, functools\n"
         "before = set(sys.modules)\n"
         "import trigsplines.cli\n"
         "print(*sorted(set(sys.modules) - before))\n"
@@ -270,6 +270,17 @@ def test_infinite_alpha_rejected_with_one_line(capsys, data_file):
     assert code == 1 and out == ""
     assert err.startswith("ValueError:") and "alpha" in err
     assert err.count("\n") == 1
+
+
+@warnings_as_errors
+@pytest.mark.parametrize("command", ["verify", "factors"])
+def test_subnormal_factor_fails_with_one_line(tmp_path, capsys, command):
+    # At N = 5, r = 1000 the factor v_2 is subnormal, and so is h_2.
+    path = tmp_path / "d5.json"
+    path.write_text(json.dumps({"values": [1, 2, 3, 4, 5]}))
+    code, out, err = run(capsys, command, str(path), "--r", "1000")
+    assert (code, out) == (1, "")
+    assert err == "DegenerateVariant: interpolation factor hc[k=2] is numerically zero\n"
 
 
 @pytest.mark.parametrize("command", ["coeffs", "verify"])

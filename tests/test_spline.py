@@ -172,6 +172,22 @@ def test_degenerate_variant_does_not_build():
     np.testing.assert_array_equal(err.value.pair.hs, raw.hs)
 
 
+@warnings_as_errors
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=1000),
+       st.sampled_from(GRID_PAIRS))
+@example(2, 1000, (0, 0))  # N = 5: v_2 = 4.9e-324, the smallest subnormal
+def test_large_r_builds_or_raises_degenerate_variant(half, r, pair):
+    # A subnormal factor fails the gate like a zero one: dividing by it would
+    # overflow, and the spline would be NaN.
+    n_nodes = 2 * half + 1
+    try:
+        model = build(np.arange(1.0, n_nodes + 1), make_spec(r, n_nodes, *pair))
+    except DegenerateVariant:
+        return
+    assert verify_interpolation(model).max_residual < 1e-9
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     half=st.integers(min_value=2, max_value=10),
